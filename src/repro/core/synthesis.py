@@ -77,10 +77,10 @@ class SynthesisOptions:
         use_presolve: run the ILP presolve reductions inside the solver
             stack (ablation knob).
         max_collapse_cubes: SOP size guard during collapsing.
-        lint: run the static lint post-pass — gate-local rules per cone,
-            the full structural+semantic rule set on the assembled network
-            (``repro.lint``); violation counts land in ``TaskMetrics`` /
-            ``EngineTrace`` and the report carries the ``LintReport``.
+        lint: run the static lint post-pass (``repro.lint.run_lint``)
+            once over the assembled network; the report carries the
+            ``LintReport`` and ``EngineTrace`` its violation count and
+            time.
         lint_rules: restrict the post-pass to these rule ids/prefixes
             (None runs every source-free rule).
         analyze: run the whole-network dataflow analysis post-pass

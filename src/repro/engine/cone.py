@@ -36,8 +36,6 @@ from repro.core.threshold import (
 from repro.engine.events import TaskMetrics, timed
 from repro.engine.store import StoreStats
 from repro.errors import SynthesisError
-from repro.lint.diagnostics import Severity
-from repro.lint.runner import lint_gates
 from repro.network.network import BooleanNetwork
 
 
@@ -135,59 +133,6 @@ class ConeSynthesizer:
                     max_cubes=self.options.max_collapse_cubes,
                 )
             self._process(name, function)
-        if getattr(self.options, "lint", True):
-            # Gate-local static audit of everything this cone emitted —
-            # structural topology is the scheduler post-pass's job.
-            with timed(self.metrics, "lint_s"):
-                findings = lint_gates(
-                    self.gates,
-                    psi=self.options.psi,
-                    rules=self.options.lint_rules,
-                    gate_model=getattr(self.options, "gate_model", "ltg"),
-                )
-            self.metrics.lint_violations = sum(
-                1 for d in findings if d.severity is not Severity.NOTE
-            )
-        # Cheap per-cone analysis metrics (always on): the margin slack of
-        # every gate this cone emitted, under the run's gate model, and the
-        # count of gates that are interval-provable constants.  The full
-        # network-wide fixpoint runs in the scheduler post-pass when
-        # options.analyze is set.
-        with timed(self.metrics, "analysis_s"):
-            from repro.analysis.domains import SumInterval
-            from repro.analysis.interval import _fires_interval
-            from repro.gates import get_model
-
-            model = get_model(getattr(self.options, "gate_model", "ltg"))
-            drift_floor = getattr(model, "required_margin", None)
-            min_slack: int | None = None
-            constants = 0
-            for gate in self.gates:
-                if 0 < gate.fanin <= 16:
-                    lo = sum(min(w, 0) for w in gate.vector.weights)
-                    hi = sum(max(w, 0) for w in gate.vector.weights)
-                    if _fires_interval(
-                        gate, SumInterval(lo, hi)
-                    ).is_constant:
-                        constants += 1
-                    on_margin, off_margin = model.gate_margins(gate)
-                    required_on = gate.delta_on
-                    required_off = gate.delta_off
-                    if drift_floor is not None:
-                        floor = drift_floor(gate.vector.weights)
-                        required_on = max(required_on, floor)
-                        required_off = max(required_off, floor)
-                    for margin, required in (
-                        (on_margin, required_on),
-                        (off_margin, required_off),
-                    ):
-                        if margin is None:
-                            continue
-                        slack = margin - required
-                        if min_slack is None or slack < min_slack:
-                            min_slack = slack
-            self.metrics.analysis_min_slack = min_slack
-            self.metrics.analysis_constant_gates = constants
         delta = self.checker.stats.since(stats_before)
         self.metrics.wall_s = time.perf_counter() - run_started
         self.metrics.checker_calls = delta.calls

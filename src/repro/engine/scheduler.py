@@ -307,10 +307,11 @@ def run_synthesis(
     report.degraded_cones = len(degraded_records)
     report.degraded = tuple(degraded_records)
     if getattr(options, "lint", True):
-        # Static post-pass over the assembled network: the structural rules
-        # (cycles, dangling fanins, reachability) only make sense here, and
-        # the gate-level semantic rules re-run so serial and process-pool
-        # runs report through one code path.
+        # The run's one lint pass, over the assembled network after
+        # cleanup(): structural and gate-local rules alike, on exactly the
+        # gates the run emits, whichever executor produced them.  No
+        # source is attached, so TLM105 is skipped here; callers check
+        # equivalence with verify_threshold_network.
         from repro.lint.diagnostics import LintOptions
         from repro.lint.runner import run_lint
 

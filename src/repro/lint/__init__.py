@@ -4,14 +4,14 @@ Two rule families audit a :class:`~repro.core.threshold.ThresholdNetwork`
 without simulating it end to end: **structural** rules (cycles, dangling
 fanins, undriven outputs, unreachable gates, fanin over ψ, duplicate gate
 bodies) and **semantic** rules (per-gate margin re-verification against the
-claimed ``delta_on``/``delta_off``, weight-sign/unateness consistency,
-threshold bound checks, and — given the source network — full functional
-equivalence).  See ``docs/LINT.md`` for the rule catalog.
+claimed ``delta_on``/``delta_off``, dead weighted inputs, threshold bound
+checks, and — given the source network — full functional equivalence).
+See ``docs/LINT.md`` for the rule catalog.
 
 Entry points:
 
-* :func:`run_lint` — the library API (CLI, engine post-pass, experiments);
-* :func:`lint_gates` — gate-local subset the engine runs per cone;
+* :func:`run_lint` — the one lint pass, shared by the CLI, the engine's
+  whole-network post-pass and the experiment flows;
 * :mod:`repro.lint.emitters` — text / JSON / SARIF 2.1.0 renderers.
 """
 
@@ -38,7 +38,7 @@ from repro.lint.rules import (
     parse_diagnostic,
     registered_rules,
 )
-from repro.lint.runner import lint_gates, run_lint, select_rules
+from repro.lint.runner import run_lint, select_rules
 
 __all__ = [
     "EXIT_CLEAN",
@@ -53,7 +53,6 @@ __all__ = [
     "format_sarif",
     "format_text",
     "get_rule",
-    "lint_gates",
     "parse_diagnostic",
     "registered_rules",
     "render",

@@ -177,7 +177,7 @@ class LintOptions:
             every registered rule.
         strict: escalate the exit code on any finding, not just errors.
         max_enumeration_fanin: semantic rules enumerate ``2**fanin`` points
-            per gate; gates wider than this are skipped (with a note).
+            per gate; gates wider than this are skipped.
         gate_model: the :mod:`repro.gates` backend the network was
             synthesized for.  Margin recomputation asks the model (not a
             hard-coded ``sum(w·x) >= T``), and the flash-grid rule TLM106

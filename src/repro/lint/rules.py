@@ -18,9 +18,9 @@ Rule families:
 * ``TLP2xx`` **parse** — carriers for structured ``.thblif`` parse errors
   (raised by :mod:`repro.io.thblif`, surfaced as diagnostics by the CLI).
 
-Gate-local semantic checks are factored as plain generator functions so the
-engine's per-cone post-pass (:func:`repro.lint.runner.lint_gates`) can run
-them on a task's gate list before the network is even assembled.
+Every rule checks a whole network; the gate-local ones loop over
+``ctx.gates`` themselves.  One :func:`repro.lint.runner.run_lint` pass
+serves the CLI, the engine post-pass and the experiment harnesses alike.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from repro.lint.diagnostics import Diagnostic, LintOptions, Severity
 
 if TYPE_CHECKING:
     from repro.analysis.report import AnalysisResult
-    from repro.gates import GateModel
 
 #: Signature of every registered rule's check function.
 RuleCheck = Callable[["LintContext"], Iterable[Diagnostic]]
@@ -270,10 +269,19 @@ def check_unreachable_gates(ctx: LintContext) -> Iterator[Diagnostic]:
     "No gate may exceed the fanin restriction ψ it was synthesized under.",
 )
 def check_fanin_overflow(ctx: LintContext) -> Iterator[Diagnostic]:
-    if ctx.options.psi is None:
+    psi = ctx.options.psi
+    if psi is None:
         return
+    spec = RULE_REGISTRY["TLS005"]
     for gate in ctx.gates:
-        yield from check_gate_fanin(gate, ctx.options.psi, ctx)
+        if gate.fanin > psi:
+            yield ctx.diag(
+                spec,
+                f"gate {gate.name!r} has fanin {gate.fanin} > psi={psi}",
+                gate=gate.name,
+                hint="re-synthesize the cone with the intended fanin "
+                "restriction",
+            )
 
 
 @rule(
@@ -350,32 +358,17 @@ def check_duplicate_fanins(ctx: LintContext) -> Iterator[Diagnostic]:
 
 
 # ----------------------------------------------------------------------
-# Gate-local semantic checks (shared with the per-cone post-pass)
+# Semantic rules (TLM1xx) — gate meaning, one gate at a time
 # ----------------------------------------------------------------------
-def _enumerable(gate: ThresholdGate, max_fanin: int) -> bool:
-    return gate.fanin <= max_fanin
-
-
-def check_gate_fanin(
-    gate: ThresholdGate, psi: int, ctx: LintContext | None = None
-) -> Iterator[Diagnostic]:
-    if gate.fanin > psi:
-        yield _gate_diag(
-            "TLS005",
-            ctx,
-            gate,
-            f"gate {gate.name!r} has fanin {gate.fanin} > psi={psi}",
-            hint="re-synthesize the cone with the intended fanin "
-            "restriction",
-        )
-
-
-def check_gate_margins(
-    gate: ThresholdGate,
-    max_fanin: int,
-    ctx: LintContext | None = None,
-    model: GateModel | None = None,
-) -> Iterator[Diagnostic]:
+@rule(
+    "TLM101",
+    "margin-violation",
+    Severity.ERROR,
+    "semantic",
+    "Every gate's recomputed worst-case ON/OFF margins must cover the "
+    "delta_on/delta_off tolerances it was solved with (Eq. 1).",
+)
+def check_margins(ctx: LintContext) -> Iterator[Diagnostic]:
     """Recompute worst-case ON/OFF margins against the claimed tolerances.
 
     The Eq. (1) contract: every true input vector's weighted sum reaches
@@ -384,105 +377,102 @@ def check_gate_margins(
     (``model.gate_margins``) rather than assuming the single-threshold
     ``sum(w·x) >= T`` form — multi-threshold gates measure against the
     *nearest enclosing* thresholds.  Enumeration is ``2**fanin`` points,
-    so wide gates are skipped (they cannot come out of the synthesizer,
-    whose ψ is small).
+    so gates wider than ``max_enumeration_fanin`` are skipped (they cannot
+    come out of the synthesizer, whose ψ is small).
     """
-    if not _enumerable(gate, max_fanin):
-        return
-    if model is not None:
+    from repro.gates import get_model
+
+    model = get_model(ctx.options.gate_model)
+    spec = RULE_REGISTRY["TLM101"]
+    for gate in ctx.gates:
+        if gate.fanin > ctx.options.max_enumeration_fanin:
+            continue
         on_margin, off_margin = model.gate_margins(gate)
-    else:
-        on_margin, off_margin = gate.margins()
-    if on_margin is not None and on_margin < gate.delta_on:
-        yield _gate_diag(
-            "TLM101",
-            ctx,
-            gate,
-            f"gate {gate.name!r} claims delta_on={gate.delta_on} but its "
-            f"tightest ON vector clears T by only {on_margin}",
-            hint="re-solve the gate's ILP with the claimed tolerances or "
-            "lower the recorded delta_on",
-        )
-    if off_margin is not None and off_margin < gate.delta_off:
-        yield _gate_diag(
-            "TLM101",
-            ctx,
-            gate,
-            f"gate {gate.name!r} claims delta_off={gate.delta_off} but its "
-            f"tightest OFF vector sits only {off_margin} below T",
-            hint="re-solve the gate's ILP with the claimed tolerances or "
-            "lower the recorded delta_off",
-        )
+        if on_margin is not None and on_margin < gate.delta_on:
+            yield ctx.diag(
+                spec,
+                f"gate {gate.name!r} claims delta_on={gate.delta_on} but its "
+                f"tightest ON vector clears T by only {on_margin}",
+                gate=gate.name,
+                hint="re-solve the gate's ILP with the claimed tolerances or "
+                "lower the recorded delta_on",
+            )
+        if off_margin is not None and off_margin < gate.delta_off:
+            yield ctx.diag(
+                spec,
+                f"gate {gate.name!r} claims delta_off={gate.delta_off} but "
+                f"its tightest OFF vector sits only {off_margin} below T",
+                gate=gate.name,
+                hint="re-solve the gate's ILP with the claimed tolerances or "
+                "lower the recorded delta_off",
+            )
 
 
-def check_gate_weight_signs(
-    gate: ThresholdGate, max_fanin: int, ctx: LintContext | None = None
-) -> Iterator[Diagnostic]:
-    """Weight signs must agree with the gate function's unateness.
+@rule(
+    "TLM102",
+    "weight-sign-consistency",
+    Severity.WARNING,
+    "semantic",
+    "Every weighted input must be able to change the gate's output: a "
+    "zero weight, or a nonzero one the gate function does not depend on, "
+    "is wasted area.  (A single-threshold gate's weight signs always "
+    "match its unateness, so only dependence needs checking.)",
+)
+def check_weight_signs(ctx: LintContext) -> Iterator[Diagnostic]:
+    """Flag gate inputs the gate function does not depend on.
 
-    A threshold function is positive unate in every positive-weight input
-    and negative unate in every negative-weight input; an input whose
-    weight cannot change the output (semantically absent) is a redundant
-    connection, and a zero weight is a dead input outright.
+    A zero weight is a dead input outright.  A nonzero weight is dead when
+    ``semantic_unateness`` reports the input ABSENT: no input point's sum
+    crosses the threshold with it.  Signs need no check of their own:
+    ``[sum(w·x) >= T]`` is monotone along ``sign(w_i)``, so an LTG is
+    positive unate in each positive-weight input and negative unate in
+    each negative one by construction.
 
     Only the zero-weight check applies to multi-threshold gates: crossing
     a higher threshold can turn the output back *off*, so their functions
     are legitimately binate in positive-weight inputs (that is the whole
     point of the backend — absorbing parity cones into one gate).
     """
-    if gate.fanin == 0:
-        return
-    zero_named = [
-        name for name, w in zip(gate.inputs, gate.weights) if w == 0
-    ]
-    for name in zero_named:
-        yield _gate_diag(
-            "TLM102",
-            ctx,
-            gate,
-            f"gate {gate.name!r} input {name!r} has weight 0 (dead input)",
-            hint="drop the input from the gate; the function cannot depend "
-            "on it",
-        )
-    if not _enumerable(gate, max_fanin):
-        return
-    if not isinstance(gate.vector, WeightThresholdVector):
-        return  # multi-threshold gates are deliberately binate
-    report = semantic_unateness(gate.local_function().cover)
-    for name, weight, phase in zip(gate.inputs, gate.weights, report.phases):
-        if weight == 0:
-            continue  # already reported above
-        if phase is Phase.ABSENT:
-            yield _gate_diag(
-                "TLM102",
-                ctx,
-                gate,
-                f"gate {gate.name!r} input {name!r} has weight {weight} but "
-                f"the gate function does not depend on it",
-                hint="the weight is redundant area; re-solve the gate "
-                "without this input",
-            )
-        elif weight > 0 and phase is Phase.NEGATIVE:
-            yield _gate_diag(
-                "TLM102",
-                ctx,
-                gate,
-                f"gate {gate.name!r} input {name!r}: positive weight "
-                f"{weight} but the function is negative unate in it",
-            )
-        elif weight < 0 and phase is Phase.POSITIVE:
-            yield _gate_diag(
-                "TLM102",
-                ctx,
-                gate,
-                f"gate {gate.name!r} input {name!r}: negative weight "
-                f"{weight} but the function is positive unate in it",
-            )
+    spec = RULE_REGISTRY["TLM102"]
+    cap = ctx.options.max_enumeration_fanin
+    for gate in ctx.gates:
+        for name, weight in zip(gate.inputs, gate.weights):
+            if weight == 0:
+                yield ctx.diag(
+                    spec,
+                    f"gate {gate.name!r} input {name!r} has weight 0 "
+                    f"(dead input)",
+                    gate=gate.name,
+                    hint="drop the input from the gate; the function "
+                    "cannot depend on it",
+                )
+        if not (
+            0 < gate.fanin <= cap
+            and isinstance(gate.vector, WeightThresholdVector)
+        ):
+            continue
+        phases = semantic_unateness(gate.local_function().cover).phases
+        for name, weight, phase in zip(gate.inputs, gate.weights, phases):
+            if weight != 0 and phase is Phase.ABSENT:
+                yield ctx.diag(
+                    spec,
+                    f"gate {gate.name!r} input {name!r} has weight {weight} "
+                    f"but the gate function does not depend on it",
+                    gate=gate.name,
+                    hint="the weight is redundant area; re-solve the gate "
+                    "without this input",
+                )
 
 
-def check_gate_threshold_bounds(
-    gate: ThresholdGate, ctx: LintContext | None = None
-) -> Iterator[Diagnostic]:
+@rule(
+    "TLM103",
+    "threshold-out-of-bounds",
+    Severity.WARNING,
+    "semantic",
+    "The threshold must lie within the bounds implied by the weights "
+    "(otherwise the gate is constant), mirroring the presolve bound box.",
+)
+def check_threshold_bounds(ctx: LintContext) -> Iterator[Diagnostic]:
     """The threshold must sit inside the bounds the weights imply.
 
     In the positive-unate form the reachable weighted sums span
@@ -499,205 +489,44 @@ def check_gate_threshold_bounds(
     maximum.  If none is, the output never changes and the gate is
     constant.
     """
-    if gate.fanin == 0:
-        return
-    if isinstance(gate.vector, MultiThresholdVector):
-        lo = sum(w for w in gate.weights if w < 0)
-        hi = sum(w for w in gate.weights if w > 0)
-        if not any(lo < t <= hi for t in gate.vector.thresholds):
-            yield _gate_diag(
-                "TLM103",
-                ctx,
-                gate,
-                f"gate {gate.name!r}: no threshold in "
-                f"{gate.vector.thresholds} lies within the reachable sum "
-                f"range ({lo}, {hi}]: the gate is constant",
-                hint="replace the gate with a constant gate and drop the "
-                "uncrossable thresholds",
+    spec = RULE_REGISTRY["TLM103"]
+    for gate in ctx.gates:
+        if gate.fanin == 0:
+            continue
+        if isinstance(gate.vector, MultiThresholdVector):
+            lo = sum(w for w in gate.weights if w < 0)
+            hi = sum(w for w in gate.weights if w > 0)
+            if not any(lo < t <= hi for t in gate.vector.thresholds):
+                yield ctx.diag(
+                    spec,
+                    f"gate {gate.name!r}: no threshold in "
+                    f"{gate.vector.thresholds} lies within the reachable "
+                    f"sum range ({lo}, {hi}]: the gate is constant",
+                    gate=gate.name,
+                    hint="replace the gate with a constant gate and drop "
+                    "the uncrossable thresholds",
+                )
+            continue
+        t_pos = gate.vector.to_positive_threshold()
+        weight_sum = sum(abs(w) for w in gate.weights)
+        if t_pos <= 0:
+            yield ctx.diag(
+                spec,
+                f"gate {gate.name!r} threshold {gate.threshold} is at or "
+                f"below the minimum reachable sum: the gate is constant 1",
+                gate=gate.name,
+                hint="replace the gate with a constant-1 gate (no inputs, "
+                "T=0)",
             )
-        return
-    t_pos = gate.vector.to_positive_threshold()
-    weight_sum = sum(abs(w) for w in gate.weights)
-    if t_pos <= 0:
-        yield _gate_diag(
-            "TLM103",
-            ctx,
-            gate,
-            f"gate {gate.name!r} threshold {gate.threshold} is at or below "
-            f"the minimum reachable sum: the gate is constant 1",
-            hint="replace the gate with a constant-1 gate (no inputs, T=0)",
-        )
-    elif t_pos > weight_sum:
-        yield _gate_diag(
-            "TLM103",
-            ctx,
-            gate,
-            f"gate {gate.name!r} threshold {gate.threshold} exceeds the "
-            f"maximum reachable sum {weight_sum}: the gate is constant 0",
-            hint="replace the gate with a constant-0 gate (no inputs, T>0)",
-        )
-
-
-def check_gate_delta_sanity(
-    gate: ThresholdGate, ctx: LintContext | None = None
-) -> Iterator[Diagnostic]:
-    if gate.delta_on < 0 or gate.delta_off < 0:
-        yield _gate_diag(
-            "TLM104",
-            ctx,
-            gate,
-            f"gate {gate.name!r} records negative defect tolerances "
-            f"(delta_on={gate.delta_on}, delta_off={gate.delta_off})",
-        )
-    elif gate.fanin > 0 and gate.delta_off == 0:
-        yield _gate_diag(
-            "TLM104",
-            ctx,
-            gate,
-            f"gate {gate.name!r} claims delta_off=0, which tolerates no "
-            f"OFF-side perturbation at all",
-            hint="integer weighted sums always sit >= 1 below T when off; "
-            "record delta_off=1 for an honest margin",
-        )
-
-
-def check_gate_flash_grid(
-    gate: ThresholdGate,
-    model: GateModel,
-    max_fanin: int = 16,
-    ctx: LintContext | None = None,
-) -> Iterator[Diagnostic]:
-    """Flash calibration audit: weights on the device grid, δ over drift.
-
-    A flash-calibrated network only programs weight magnitudes the device
-    exposes (``|w| <= levels``), and must hold margins at least the
-    drift-derived floor ``ceil(drift * max|w|)`` — otherwise threshold
-    drift over the retention window can flip the gate.  Multi-threshold
-    vectors cannot be programmed on a single-threshold flash cell at all.
-    """
-    if gate.fanin == 0:
-        return
-    if not isinstance(gate.vector, WeightThresholdVector):
-        yield _gate_diag(
-            "TLM106",
-            ctx,
-            gate,
-            f"gate {gate.name!r} is a multi-threshold gate, which a "
-            f"single-threshold flash cell cannot realize",
-            hint="re-synthesize the network with --gate-model flash",
-        )
-        return
-    levels = model.levels
-    off_grid = [
-        (name, w)
-        for name, w in zip(gate.inputs, gate.weights)
-        if abs(w) > levels
-    ]
-    for name, weight in off_grid:
-        yield _gate_diag(
-            "TLM106",
-            ctx,
-            gate,
-            f"gate {gate.name!r} input {name!r} weight {weight} is off the "
-            f"device grid (|w| > {levels} programmable levels)",
-            hint="re-solve the gate with the flash model's weight box",
-        )
-    if off_grid or not _enumerable(gate, max_fanin):
-        return
-    required = model.required_margin(gate.weights)
-    if required == 0:
-        return
-    on_margin, off_margin = model.gate_margins(gate)
-    for side, margin in (("ON", on_margin), ("OFF", off_margin)):
-        if margin is not None and margin < required:
-            yield _gate_diag(
-                "TLM106",
-                ctx,
-                gate,
-                f"gate {gate.name!r} {side} margin {margin} is below the "
-                f"drift floor {required} "
-                f"(ceil({model.drift} * max|w|))",
-                hint="re-solve with larger tolerances or smaller weights; "
-                "the flash backend's re-quantization loop does this "
-                "automatically",
+        elif t_pos > weight_sum:
+            yield ctx.diag(
+                spec,
+                f"gate {gate.name!r} threshold {gate.threshold} exceeds the "
+                f"maximum reachable sum {weight_sum}: the gate is constant 0",
+                gate=gate.name,
+                hint="replace the gate with a constant-0 gate (no inputs, "
+                "T>0)",
             )
-
-
-GATE_CHECKS: tuple[tuple[str, Callable], ...] = (
-    ("TLM101", check_gate_margins),
-    ("TLM102", check_gate_weight_signs),
-    ("TLM103", check_gate_threshold_bounds),
-    ("TLM104", check_gate_delta_sanity),
-)
-
-
-def _gate_diag(
-    rule_id: str,
-    ctx: LintContext | None,
-    gate: ThresholdGate,
-    message: str,
-    hint: str | None = None,
-) -> Diagnostic:
-    spec = RULE_REGISTRY[rule_id]
-    if ctx is not None:
-        return ctx.diag(spec, message, gate=gate.name, hint=hint)
-    return Diagnostic(
-        rule_id=spec.rule_id,
-        severity=spec.severity,
-        message=message,
-        category=spec.category,
-        gate=gate.name,
-        hint=hint,
-    )
-
-
-# ----------------------------------------------------------------------
-# Semantic rules (TLM1xx) — network-level wrappers over the gate checks
-# ----------------------------------------------------------------------
-@rule(
-    "TLM101",
-    "margin-violation",
-    Severity.ERROR,
-    "semantic",
-    "Every gate's recomputed worst-case ON/OFF margins must cover the "
-    "delta_on/delta_off tolerances it was solved with (Eq. 1).",
-)
-def check_margins(ctx: LintContext) -> Iterator[Diagnostic]:
-    from repro.gates import get_model
-
-    model = get_model(getattr(ctx.options, "gate_model", "ltg"))
-    for gate in ctx.gates:
-        yield from check_gate_margins(
-            gate, ctx.options.max_enumeration_fanin, ctx, model=model
-        )
-
-
-@rule(
-    "TLM102",
-    "weight-sign-consistency",
-    Severity.WARNING,
-    "semantic",
-    "Weight signs must match the gate function's per-input unateness; "
-    "zero or semantically-dead weights are wasted area.",
-)
-def check_weight_signs(ctx: LintContext) -> Iterator[Diagnostic]:
-    for gate in ctx.gates:
-        yield from check_gate_weight_signs(
-            gate, ctx.options.max_enumeration_fanin, ctx
-        )
-
-
-@rule(
-    "TLM103",
-    "threshold-out-of-bounds",
-    Severity.WARNING,
-    "semantic",
-    "The threshold must lie within the bounds implied by the weights "
-    "(otherwise the gate is constant), mirroring the presolve bound box.",
-)
-def check_threshold_bounds(ctx: LintContext) -> Iterator[Diagnostic]:
-    for gate in ctx.gates:
-        yield from check_gate_threshold_bounds(gate, ctx)
 
 
 @rule(
@@ -709,8 +538,24 @@ def check_threshold_bounds(ctx: LintContext) -> Iterator[Diagnostic]:
     "delta_off of 0 is vacuous for integer weights).",
 )
 def check_delta_sanity(ctx: LintContext) -> Iterator[Diagnostic]:
+    spec = RULE_REGISTRY["TLM104"]
     for gate in ctx.gates:
-        yield from check_gate_delta_sanity(gate, ctx)
+        if gate.delta_on < 0 or gate.delta_off < 0:
+            yield ctx.diag(
+                spec,
+                f"gate {gate.name!r} records negative defect tolerances "
+                f"(delta_on={gate.delta_on}, delta_off={gate.delta_off})",
+                gate=gate.name,
+            )
+        elif gate.fanin > 0 and gate.delta_off == 0:
+            yield ctx.diag(
+                spec,
+                f"gate {gate.name!r} claims delta_off=0, which tolerates no "
+                f"OFF-side perturbation at all",
+                gate=gate.name,
+                hint="integer weighted sums always sit >= 1 below T when "
+                "off; record delta_off=1 for an honest margin",
+            )
 
 
 @rule(
@@ -757,15 +602,63 @@ def check_functional_equivalence(ctx: LintContext) -> Iterator[Diagnostic]:
     "model.",
 )
 def check_flash_grid(ctx: LintContext) -> Iterator[Diagnostic]:
-    if getattr(ctx.options, "gate_model", "ltg") != "flash":
+    """Flash calibration audit: weights on the device grid, δ over drift.
+
+    A flash-calibrated network only programs weight magnitudes the device
+    exposes (``|w| <= levels``), and must hold margins at least the
+    drift-derived floor ``ceil(drift * max|w|)`` — otherwise threshold
+    drift over the retention window can flip the gate.  Multi-threshold
+    vectors cannot be programmed on a single-threshold flash cell at all.
+    """
+    if ctx.options.gate_model != "flash":
         return
     from repro.gates import get_model
 
     model = get_model("flash")
+    spec = RULE_REGISTRY["TLM106"]
     for gate in ctx.gates:
-        yield from check_gate_flash_grid(
-            gate, model, ctx.options.max_enumeration_fanin, ctx
-        )
+        if gate.fanin == 0:
+            continue
+        if not isinstance(gate.vector, WeightThresholdVector):
+            yield ctx.diag(
+                spec,
+                f"gate {gate.name!r} is a multi-threshold gate, which a "
+                f"single-threshold flash cell cannot realize",
+                gate=gate.name,
+                hint="re-synthesize the network with --gate-model flash",
+            )
+            continue
+        off_grid = [
+            (name, w)
+            for name, w in zip(gate.inputs, gate.weights)
+            if abs(w) > model.levels
+        ]
+        for name, weight in off_grid:
+            yield ctx.diag(
+                spec,
+                f"gate {gate.name!r} input {name!r} weight {weight} is off "
+                f"the device grid (|w| > {model.levels} programmable levels)",
+                gate=gate.name,
+                hint="re-solve the gate with the flash model's weight box",
+            )
+        if off_grid or gate.fanin > ctx.options.max_enumeration_fanin:
+            continue
+        required = model.required_margin(gate.weights)
+        if required == 0:
+            continue
+        on_margin, off_margin = model.gate_margins(gate)
+        for side, margin in (("ON", on_margin), ("OFF", off_margin)):
+            if margin is not None and margin < required:
+                yield ctx.diag(
+                    spec,
+                    f"gate {gate.name!r} {side} margin {margin} is below the "
+                    f"drift floor {required} "
+                    f"(ceil({model.drift} * max|w|))",
+                    gate=gate.name,
+                    hint="re-solve with larger tolerances or smaller "
+                    "weights; the flash backend's re-quantization loop "
+                    "does this automatically",
+                )
 
 
 # ----------------------------------------------------------------------
@@ -776,7 +669,7 @@ def check_flash_grid(ctx: LintContext) -> Iterator[Diagnostic]:
 # ----------------------------------------------------------------------
 def _network_analysis(ctx: LintContext) -> AnalysisResult | None:
     """The run's shared AnalysisResult, or None when analysis is off."""
-    if not getattr(ctx.options, "analysis", False):
+    if not ctx.options.analysis:
         return None
     if ctx._analysis is None:
         from repro.analysis import AnalysisOptions, analyze_threshold_network
@@ -784,7 +677,7 @@ def _network_analysis(ctx: LintContext) -> AnalysisResult | None:
         ctx._analysis = analyze_threshold_network(
             ctx.network,
             AnalysisOptions(
-                gate_model=getattr(ctx.options, "gate_model", "ltg"),
+                gate_model=ctx.options.gate_model,
                 max_enumeration_fanin=ctx.options.max_enumeration_fanin,
             ),
         )

@@ -1,30 +1,19 @@
-"""Lint drivers: the library API, the CLI entry, and the per-cone hook.
+"""The lint library API, shared by every consumer.
 
-``run_lint`` is the one entry point every consumer shares: the ``tels
-lint`` CLI (over parsed ``.thblif`` files), the engine's post-pass (over
-freshly assembled networks), and the experiment harnesses (which fail fast
-on an invalid network instead of producing a wrong table row).
-
-``lint_gates`` is the cheap subset the engine runs *per cone*, before
-assembly: gate-local semantic checks plus the fanin restriction, over a
-bare gate list.
+``run_lint`` is the one entry point: the ``tels lint`` CLI (over parsed
+``.thblif`` files), the engine's post-pass (over each freshly assembled
+network, once per run), and the experiment harnesses (which fail fast on
+an invalid network instead of producing a wrong table row).
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
 
-from repro.core.threshold import ThresholdGate, ThresholdNetwork
+from repro.core.threshold import ThresholdNetwork
 from repro.lint.diagnostics import Diagnostic, LintOptions, LintReport
-from repro.lint.rules import (
-    GATE_CHECKS,
-    LintContext,
-    LintRule,
-    check_gate_fanin,
-    registered_rules,
-)
+from repro.lint.rules import LintContext, LintRule, registered_rules
 
 if TYPE_CHECKING:
     from repro.analysis.report import AnalysisResult
@@ -94,48 +83,3 @@ def run_lint(
         file=file,
     )
 
-
-def lint_gates(
-    gates: Sequence[ThresholdGate],
-    psi: int | None = None,
-    max_enumeration_fanin: int = 16,
-    rules: Iterable[str] | None = None,
-    gate_model: str = "ltg",
-) -> tuple[Diagnostic, ...]:
-    """Gate-local lint over a bare gate list (the engine's per-cone hook).
-
-    Runs only checks that need no network topology: the fanin restriction
-    and the TLM1xx gate semantics.  The margin recompute is routed through
-    the named :mod:`repro.gates` backend, and the flash-grid rule TLM106
-    joins the set when that backend is ``"flash"``.  Returns the
-    diagnostics in gate order.
-    """
-    from repro.gates import get_model
-    from repro.lint.rules import check_gate_flash_grid
-
-    model = get_model(gate_model)
-    selected = None if rules is None else set(rules)
-
-    def wanted(rule_id: str) -> bool:
-        return selected is None or rule_id in selected
-
-    diagnostics: list[Diagnostic] = []
-    for gate in gates:
-        if psi is not None and wanted("TLS005"):
-            diagnostics.extend(check_gate_fanin(gate, psi))
-        for rule_id, check in GATE_CHECKS:
-            if not wanted(rule_id):
-                continue
-            if rule_id == "TLM101":
-                diagnostics.extend(
-                    check(gate, max_enumeration_fanin, model=model)
-                )
-            elif rule_id == "TLM102":
-                diagnostics.extend(check(gate, max_enumeration_fanin))
-            else:
-                diagnostics.extend(check(gate))
-        if gate_model == "flash" and wanted("TLM106"):
-            diagnostics.extend(
-                check_gate_flash_grid(gate, model, max_enumeration_fanin)
-            )
-    return tuple(diagnostics)

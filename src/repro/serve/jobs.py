@@ -44,6 +44,8 @@ from repro.serve.schemas import (
 #: Job lifecycle states; the last three are terminal.
 ACTIVE_STATES = ("queued", "running")
 TERMINAL_STATES = ("done", "failed", "cancelled")
+#: The event that announces each terminal state; it ends the job's stream.
+TERMINAL_EVENTS = frozenset(f"job-{state}" for state in TERMINAL_STATES)
 
 
 @dataclass
@@ -63,6 +65,8 @@ class Job:
     #: Ordered event log; guarded by ``cond`` (also signals appends).
     events: list[dict] = field(default_factory=list)
     cond: threading.Condition = field(default_factory=threading.Condition)
+    #: Set (under ``cond``) once the terminal ``job-*`` event is logged.
+    closed: bool = False
 
     @property
     def is_terminal(self) -> bool:
@@ -187,6 +191,7 @@ class JobManager:
                     "message": f"journaled request no longer valid: {exc}",
                 }
                 self._jobs[job_id] = job
+                self._publish(job, {"event": "job-failed", "error": job.error})
                 continue
             job = Job(job_id=job_id, request=request, state=state)
             job.submitted_at = record.get("submitted_at", job.submitted_at)
@@ -287,19 +292,23 @@ class JobManager:
             event["seq"] = len(job.events)
             event["job"] = job.job_id
             job.events.append(event)
+            job.closed = job.closed or event["event"] in TERMINAL_EVENTS
             job.cond.notify_all()
 
     def iter_events(self, job: Job, since: int = 0, poll_s: float = 10.0):
-        """Yield the job's events from ``since`` until it turns terminal.
+        """Yield the job's events from ``since`` through its terminal event.
 
-        Blocks for new events while the job is active; after the terminal
-        transition the remaining log drains and the iterator ends, so a
-        streaming HTTP response closes by itself.
+        Blocks for new events until the terminal ``job-*`` event is in the
+        log, then drains it and ends, so a streaming HTTP response closes
+        by itself.  The end is keyed on that event, not on ``job.state``:
+        ``_set_terminal`` flips the state and journals it *before*
+        announcing it, and a reader stopping at the state would close one
+        event short.
         """
         index = max(0, since)
         while True:
             with job.cond:
-                while index >= len(job.events) and not job.is_terminal:
+                while index >= len(job.events) and not job.closed:
                     job.cond.wait(timeout=poll_s)
                 if index < len(job.events):
                     event = job.events[index]

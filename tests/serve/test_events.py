@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 import urllib.request
 
+from repro.serve.jobs import TERMINAL_STATES, JobManager
 from repro.serve.sse import encode_ndjson, encode_sse, wants_sse
 
 
@@ -99,3 +102,43 @@ class TestStreaming:
             assert err.code == 400
         else:  # pragma: no cover - fail loudly
             raise AssertionError("expected a 400")
+
+
+class TestTerminalEvent:
+    def test_stream_waits_for_the_terminal_event(self, tmp_path, small_blif):
+        """A reader that sees the terminal state first still gets job-done.
+
+        The job's state turns terminal and is journaled before its
+        ``job-done`` event is published; holding the journal write open
+        pins a reader inside that window.
+        """
+        manager = JobManager(journal_dir=str(tmp_path), max_workers=1)
+        release = threading.Event()
+        append = manager.journal.append
+
+        def gated_append(record: dict) -> None:
+            if record.get("state") in TERMINAL_STATES:
+                release.wait(timeout=30)
+            append(record)
+
+        manager.journal.append = gated_append
+        try:
+            job = manager.submit({"blif": small_blif, "name": "gated"})
+            deadline = time.monotonic() + 30
+            while not job.is_terminal:
+                assert time.monotonic() < deadline, "job never finished"
+                time.sleep(0.005)
+            drained: list[dict] = []
+            reader = threading.Thread(
+                target=lambda: drained.extend(manager.iter_events(job))
+            )
+            reader.start()
+            reader.join(timeout=0.5)
+            release.set()
+            reader.join(timeout=30)
+            assert not reader.is_alive()
+            assert drained[-1]["event"] == "job-done"
+            assert [e["seq"] for e in drained] == list(range(len(drained)))
+        finally:
+            release.set()
+            manager.shutdown()

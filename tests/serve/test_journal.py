@@ -159,6 +159,9 @@ class TestRecovery:
             job = manager.get("j000001")
             assert job.state == "failed"
             assert job.error["code"] == "unrecoverable"
+            # Its event stream still closes on a terminal event.
+            events = list(manager.iter_events(job))
+            assert [e["event"] for e in events] == ["job-failed"]
         finally:
             manager.shutdown()
 
