@@ -243,7 +243,6 @@ def run_bench(
         "scipy_solves": totals.scipy_solves,
         "exact_solve_wall_s": round(totals.exact_wall_s, 4),
         "scipy_solve_wall_s": round(totals.scipy_wall_s, 4),
-        "presolve_rows_removed": totals.presolve_rows_removed,
     }
 
 

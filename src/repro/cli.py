@@ -59,11 +59,6 @@ def _add_backend_args(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="disable the Chow-parameter fast path (always solve the ILP)",
     )
-    parser.add_argument(
-        "--no-presolve",
-        action="store_true",
-        help="disable the ILP presolve reductions",
-    )
 
 
 def _add_cache_args(parser: argparse.ArgumentParser) -> None:
@@ -179,7 +174,6 @@ def _options(args: argparse.Namespace) -> SynthesisOptions:
         backend=args.ilp_backend,
         gate_model=getattr(args, "gate_model", "ltg"),
         use_fastpath=not args.no_fastpath,
-        use_presolve=not args.no_presolve,
         lint=not getattr(args, "no_lint", False),
         analyze=getattr(args, "analyze", False),
         deadline_per_cone_s=getattr(args, "deadline_per_cone", None),
@@ -273,8 +267,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         print(
             f"solvers: exact {check.exact_solves} solves "
             f"{check.exact_wall_s:.3f}s, "
-            f"scipy {check.scipy_solves} solves {check.scipy_wall_s:.3f}s, "
-            f"presolve removed {check.presolve_rows_removed} rows"
+            f"scipy {check.scipy_solves} solves {check.scipy_wall_s:.3f}s"
         )
     if report.trace is not None:
         print(report.trace.format_summary())
@@ -895,7 +888,6 @@ def _api_options(args: argparse.Namespace) -> dict:
         "backend": args.ilp_backend,
         "gate_model": getattr(args, "gate_model", "ltg"),
         "use_fastpath": not args.no_fastpath,
-        "use_presolve": not args.no_presolve,
         "lint": not getattr(args, "no_lint", False),
         "deadline_per_cone_s": getattr(args, "deadline_per_cone", None),
         "deadline_total_s": getattr(args, "deadline_total", None),

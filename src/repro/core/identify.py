@@ -65,6 +65,7 @@ class CheckStats:
     fastpath_hits: int = 0
     fastpath_negatives: int = 0
     fastpath_misses: int = 0
+    #: Always 0: perfbench/layers.py still reads it by name.
     presolve_rows_removed: int = 0
     solver_timeouts: int = 0
     exact_solves: int = 0
@@ -126,9 +127,8 @@ class ThresholdChecker:
         use_fastpath: try the Chow-parameter fast path
             (:mod:`repro.ilp.fastpath`) before formulating an ILP.  Only
             attempted on minimized covers (the fast path's weight lower
-            bound requires every support variable to be essential).
-        use_presolve: run the :mod:`repro.ilp.presolve` reductions inside
-            the solver stack (ablation knob).
+            bound requires every support variable to be essential).  Its
+            candidate vector is the exact backend's only warm start.
         gate_model: name of the :class:`~repro.gates.base.GateModel`
             backend deciding representation and feasibility; ``"ltg"`` is
             the paper's single-threshold gate and keeps the historical
@@ -150,7 +150,6 @@ class ThresholdChecker:
     minimize_cover: bool = True
     max_weight: int | None = None
     use_fastpath: bool = True
-    use_presolve: bool = True
     gate_model: str = "ltg"
     stats: CheckStats = field(default_factory=CheckStats)
     store: "ResultStore | None" = field(default=None, repr=False)
@@ -177,7 +176,6 @@ class ThresholdChecker:
             backend=options.backend,
             max_weight=options.max_weight,
             use_fastpath=getattr(options, "use_fastpath", True),
-            use_presolve=getattr(options, "use_presolve", True),
             gate_model=getattr(options, "gate_model", "ltg"),
             store=store,
         )
@@ -323,7 +321,6 @@ class ThresholdChecker:
         result, info = solve_ilp_info(
             problem,
             backend=self.backend,
-            presolve=self.use_presolve,
             warm_start=warm_start,
             timeout_s=timeout_s,
         )
@@ -341,8 +338,6 @@ class ThresholdChecker:
         self.stats.scipy_solves += info.solves_for("scipy")
         self.stats.exact_wall_s += info.wall_for("exact")
         self.stats.scipy_wall_s += info.wall_for("scipy")
-        if info.presolve is not None:
-            self.stats.presolve_rows_removed += info.presolve.rows_removed
         if info.timed_out:
             self.stats.solver_timeouts += 1
 

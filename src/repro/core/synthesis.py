@@ -74,8 +74,6 @@ class SynthesisOptions:
             drift-derived tolerances.
         use_fastpath: resolve threshold checks with the Chow-parameter fast
             path before formulating an ILP (ablation knob).
-        use_presolve: run the ILP presolve reductions inside the solver
-            stack (ablation knob).
         max_collapse_cubes: SOP size guard during collapsing.
         lint: run the static lint post-pass (``repro.lint.run_lint``)
             once over the assembled network; the report carries the
@@ -116,7 +114,6 @@ class SynthesisOptions:
     splitting_strategy: str = "paper"
     gate_model: str = "ltg"
     use_fastpath: bool = True
-    use_presolve: bool = True
     max_weight: int | None = None
     max_collapse_cubes: int = 128
     lint: bool = True

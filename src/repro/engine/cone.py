@@ -146,9 +146,6 @@ class ConeSynthesizer:
         self.metrics.fastpath_misses = delta.fastpath_misses
         self.metrics.exact_solves = delta.exact_solves
         self.metrics.scipy_solves = delta.scipy_solves
-        self.metrics.exact_wall_s = delta.exact_wall_s
-        self.metrics.scipy_wall_s = delta.scipy_wall_s
-        self.metrics.presolve_rows_removed = delta.presolve_rows_removed
         self.metrics.solver_timeouts = delta.solver_timeouts
         store_delta: StoreStats | None = None
         if store_before is not None and self.checker.store is not None:
@@ -156,7 +153,6 @@ class ConeSynthesizer:
             self.metrics.persistent_hits = store_delta.persistent_hits
             self.metrics.persistent_misses = store_delta.persistent_misses
             self.metrics.transformed_hits = store_delta.transformed_hits
-            self.metrics.transform_rejects = store_delta.transform_rejects
         return ConeOutcome(
             gates=tuple(self.gates),
             discovered=tuple(self._discovered),

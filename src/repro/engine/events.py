@@ -53,13 +53,9 @@ class TaskMetrics:
     fastpath_misses: int = 0
     exact_solves: int = 0
     scipy_solves: int = 0
-    exact_wall_s: float = 0.0
-    scipy_wall_s: float = 0.0
-    presolve_rows_removed: int = 0
     persistent_hits: int = 0
     persistent_misses: int = 0
     transformed_hits: int = 0
-    transform_rejects: int = 0
     solver_timeouts: int = 0
     #: Executor submissions this cone consumed (retries inflate this).
     attempts: int = 1
@@ -90,7 +86,6 @@ class TaskMetrics:
                 "fastpath_misses": self.fastpath_misses,
                 "exact_solves": self.exact_solves,
                 "scipy_solves": self.scipy_solves,
-                "presolve_rows_removed": self.presolve_rows_removed,
                 "persistent_hits": self.persistent_hits,
                 "persistent_misses": self.persistent_misses,
                 "transformed_hits": self.transformed_hits,
@@ -191,33 +186,6 @@ class EngineTrace:
     def total(self, attr: str) -> float:
         return sum(getattr(m, attr) for m in self.tasks)
 
-    @property
-    def cache_hit_rate(self) -> float:
-        calls = self.total("checker_calls")
-        return self.total("checker_cache_hits") / calls if calls else 0.0
-
-    @property
-    def fastpath_hit_rate(self) -> float:
-        """Share of fast-path attempts that skipped the ILP entirely."""
-        attempts = self.total("fastpath_hits") + self.total(
-            "fastpath_negatives"
-        ) + self.total("fastpath_misses")
-        if not attempts:
-            return 0.0
-        return (
-            self.total("fastpath_hits") + self.total("fastpath_negatives")
-        ) / attempts
-
-    @property
-    def persistent_hit_rate(self) -> float:
-        """Share of persistent-tier lookups answered from disk."""
-        lookups = self.total("persistent_hits") + self.total(
-            "persistent_misses"
-        )
-        if not lookups:
-            return 0.0
-        return self.total("persistent_hits") / lookups
-
     def slowest(self, n: int = 3) -> list[TaskMetrics]:
         return sorted(self.tasks, key=lambda m: -m.wall_s)[:n]
 
@@ -231,15 +199,6 @@ class EngineTrace:
             f"passes: collapse {self.total('collapse_s'):.3f}s  "
             f"check {self.total('check_s'):.3f}s  "
             f"split {self.total('split_s'):.3f}s",
-            f"checker: {int(self.total('checker_calls'))} calls, "
-            f"{int(self.total('checker_cache_hits'))} cache hits "
-            f"({100.0 * self.cache_hit_rate:.1f}%), "
-            f"{int(self.total('ilp_solved'))} ILPs solved, "
-            f"{int(self.total('constraints_emitted'))} constraints",
-            f"fastpath: {int(self.total('fastpath_hits'))} hits, "
-            f"{int(self.total('fastpath_negatives'))} negatives, "
-            f"{int(self.total('fastpath_misses'))} misses "
-            f"({100.0 * self.fastpath_hit_rate:.1f}% resolved without ILP)",
         ]
         if self.total("multithreshold_hits") or self.total("flash_requantized"):
             lines.append(
@@ -247,21 +206,6 @@ class EngineTrace:
                 f"{int(self.total('multithreshold_hits'))} multi-threshold "
                 f"absorptions, {int(self.total('flash_requantized'))} flash "
                 f"re-quantizations"
-            )
-        lines += [
-            f"solvers: exact {int(self.total('exact_solves'))} solves "
-            f"{self.total('exact_wall_s'):.3f}s, "
-            f"scipy {int(self.total('scipy_solves'))} solves "
-            f"{self.total('scipy_wall_s'):.3f}s, "
-            f"presolve removed {int(self.total('presolve_rows_removed'))} rows",
-        ]
-        if self.total("persistent_hits") or self.total("persistent_misses"):
-            lines.append(
-                f"persistent cache: {int(self.total('persistent_hits'))} hits, "
-                f"{int(self.total('persistent_misses'))} misses "
-                f"({100.0 * self.persistent_hit_rate:.1f}%), "
-                f"{int(self.total('transformed_hits'))} NP-transformed, "
-                f"{int(self.total('transform_rejects'))} rejected"
             )
         if (
             self.degraded

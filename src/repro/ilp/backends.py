@@ -22,7 +22,6 @@ from typing import Protocol, runtime_checkable
 
 from repro.errors import IlpError
 from repro.ilp.model import IlpProblem, IlpResult, Status
-from repro.ilp.presolve import PresolveInfo
 
 
 @dataclass(frozen=True)
@@ -41,21 +40,18 @@ class SolveInfo:
     """Structured telemetry for one dispatch-layer solve.
 
     Attributes:
-        backend: name of the backend whose answer was returned (may be
-            ``"presolve"`` when the reduction itself settled the model).
+        backend: name of the backend whose answer was returned.
         status: final status returned to the caller.
         attempts: every backend invocation, in order — a verification
             fallback shows up as a second attempt.
-        presolve: what the presolve pass did, or None when disabled.
         verified: the returned point (or infeasibility) was re-checked
-            against the *original* model, not just the backend's answer.
+            against the model, not just taken from the backend's answer.
         fallback: True when the answering backend was not the first tried.
     """
 
     backend: str = ""
     status: Status = Status.INFEASIBLE
     attempts: list[SolveAttempt] = field(default_factory=list)
-    presolve: PresolveInfo | None = None
     verified: bool = False
     fallback: bool = False
 

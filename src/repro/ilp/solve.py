@@ -1,4 +1,4 @@
-"""The layered dispatch for ILP solving: presolve → backend → verify.
+"""The layered dispatch for ILP solving: backend → verify.
 
 ``backend`` choices:
 
@@ -7,19 +7,17 @@
 * ``"scipy"`` — HiGHS via scipy (fast, float-based, re-verified);
 * ``"auto"`` (default) — scipy when importable, with a *verification
   chain*: a scipy OPTIMAL is rounded to integers and re-checked against
-  every constraint of the original model (falling back to the exact solver
-  on any violation), and a scipy INFEASIBLE is re-proved by the exact
-  solver before being trusted, because threshold identification treats
+  every constraint of the model (falling back to the exact solver on any
+  violation), and a scipy INFEASIBLE is re-proved by the exact solver
+  before being trusted, because threshold identification treats
   infeasibility as a *semantic* answer;
 * any other registered name — see :mod:`repro.ilp.backends`.
 
-Every call runs the exactness-preserving :mod:`repro.ilp.presolve` pass
-first (duplicate/dominated-row elimination, bound consolidation), and when
-the reduced model still has interchangeable variables, a symmetry-collapsed
-pre-solve supplies the exact backend with a warm-start incumbent.
-:func:`solve_ilp_info` returns the result together with a
-:class:`~repro.ilp.backends.SolveInfo` record (per-backend attempts, wall
-times, presolve effect, verification outcome) for the telemetry pipeline.
+Every backend solves the model exactly as given: the checker's Fig. 6
+formulation already eliminates redundant constraints, so there is no
+reduction pass in between.  :func:`solve_ilp_info` returns the result
+together with a :class:`~repro.ilp.backends.SolveInfo` record (per-backend
+attempts, wall times, verification outcome) for the telemetry pipeline.
 """
 
 from __future__ import annotations
@@ -38,11 +36,6 @@ from repro.ilp.backends import (
 )
 from repro.ilp.branch_bound import verify_integral_solution
 from repro.ilp.model import IlpProblem, IlpResult, Status
-from repro.ilp.presolve import (
-    collapse_symmetric,
-    expand_solution,
-    presolve as run_presolve,
-)
 
 __all__ = [
     "available_backends",
@@ -50,11 +43,6 @@ __all__ = [
     "solve_ilp",
     "solve_ilp_info",
 ]
-
-#: Node budget for the symmetry-collapsed incumbent pre-solve; the collapsed
-#: model is strictly smaller, so a small budget is enough and a blown budget
-#: just means "no warm start".
-_COLLAPSE_NODE_LIMIT = 200
 
 
 def _round_to_integral(
@@ -80,47 +68,6 @@ def _round_to_integral(
     )
 
 
-def _exact_warm_start(
-    problem: IlpProblem,
-    info: SolveInfo,
-    warm_start: tuple[Fraction, ...] | None,
-) -> tuple[Fraction, ...] | None:
-    """A warm-start incumbent for the exact backend.
-
-    A caller-supplied candidate wins; otherwise, when presolve found
-    interchangeable variables, solve the symmetry-collapsed model (strictly
-    smaller) and expand its solution.  The expansion is only used after it
-    verifies against the *original* model, and only ever as an incumbent
-    bound — the full model is still solved to optimality.
-    """
-    if warm_start is not None:
-        return warm_start
-    if info.presolve is None or not info.presolve.symmetry_classes:
-        return None
-    collapse = collapse_symmetric(problem, info.presolve.symmetry_classes)
-    if collapse is None or collapse.problem.num_vars >= problem.num_vars:
-        return None
-    from repro.ilp.branch_bound import solve_bb
-
-    import time
-
-    started = time.perf_counter()
-    reduced = solve_bb(collapse.problem, node_limit=_COLLAPSE_NODE_LIMIT)
-    info.attempts.append(
-        SolveAttempt(
-            backend="exact",
-            status=reduced.status,
-            wall_s=time.perf_counter() - started,
-        )
-    )
-    if not reduced.is_optimal or reduced.limit_hit:
-        return None
-    expanded = expand_solution(collapse, reduced.values)
-    if not problem.is_feasible_point(expanded):
-        return None
-    return expanded
-
-
 def _problem_key(problem: IlpProblem) -> str:
     """A content string for chaos keying: stable across processes/orders."""
     parts = [str(problem.num_vars)]
@@ -134,61 +81,43 @@ def solve_ilp_info(
     problem: IlpProblem,
     backend: str = "auto",
     *,
-    presolve: bool = True,
     warm_start: tuple[Fraction, ...] | None = None,
     timeout_s: float | None = None,
 ) -> tuple[IlpResult, SolveInfo]:
     """Solve an ILP and report structured per-solve telemetry.
 
     Args:
-        problem: the model (left untouched; presolve works on a copy).
+        problem: the model (left untouched).
         backend: registered backend name, or ``"auto"``.
-        presolve: run the reduction pass before any backend.
-        warm_start: a candidate point (full variable space) used as the
-            exact backend's starting incumbent when feasible.
+        warm_start: a candidate point used as the exact backend's starting
+            incumbent when feasible.
         timeout_s: best-effort wall-clock budget forwarded to every backend
             attempt; a solve cut short reports ``timed_out`` in its attempt
             record and is treated as a declared (not proven) answer.
     """
     info = SolveInfo()
-    reduced = problem
-    if presolve:
-        reduced, pinfo = run_presolve(problem)
-        info.presolve = pinfo
-        if pinfo.infeasible:
-            info.backend = "presolve"
-            info.status = Status.INFEASIBLE
-            info.verified = True
-            return IlpResult(Status.INFEASIBLE), info
-
     if backend == "auto":
-        result = _solve_auto(problem, reduced, info, warm_start, timeout_s)
+        result = _solve_auto(problem, info, warm_start, timeout_s)
     elif backend == "exact":
-        result = _solve_exact(problem, reduced, info, warm_start, timeout_s)
+        result = _solve_exact(problem, info, warm_start, timeout_s)
     else:
-        result = _solve_named(
-            problem, reduced, info, backend, warm_start, timeout_s
-        )
+        result = _solve_named(problem, info, backend, warm_start, timeout_s)
     info.status = result.status
     return result, info
 
 
 def _solve_exact(
     problem: IlpProblem,
-    reduced: IlpProblem,
     info: SolveInfo,
     warm_start: tuple[Fraction, ...] | None,
     timeout_s: float | None = None,
 ) -> IlpResult:
-    incumbent = _exact_warm_start(reduced, info, warm_start)
     result, attempt = timed_solve(
-        get_backend("exact"), reduced, warm_start=incumbent,
+        get_backend("exact"), problem, warm_start=warm_start,
         timeout_s=timeout_s,
     )
     info.attempts.append(attempt)
     info.backend = "exact"
-    # Verify against the ORIGINAL model: this also guards the presolve
-    # reductions themselves, not just the backend.
     verify_integral_solution(problem, result)
     info.verified = True
     return result
@@ -196,7 +125,6 @@ def _solve_exact(
 
 def _solve_named(
     problem: IlpProblem,
-    reduced: IlpProblem,
     info: SolveInfo,
     backend: str,
     warm_start: tuple[Fraction, ...] | None,
@@ -208,7 +136,7 @@ def _solve_named(
             f"{backend} backend requested but {backend} is unavailable"
         )
     result, attempt = timed_solve(
-        solver, reduced, warm_start=warm_start, timeout_s=timeout_s
+        solver, problem, warm_start=warm_start, timeout_s=timeout_s
     )
     info.attempts.append(attempt)
     info.backend = backend
@@ -225,7 +153,6 @@ def _solve_named(
 
 def _solve_auto(
     problem: IlpProblem,
-    reduced: IlpProblem,
     info: SolveInfo,
     warm_start: tuple[Fraction, ...] | None,
     timeout_s: float | None = None,
@@ -233,13 +160,13 @@ def _solve_auto(
     """scipy when present, under the verification chain; exact otherwise."""
     scipy = get_backend("scipy")
     if not scipy.available():
-        return _solve_exact(problem, reduced, info, warm_start, timeout_s)
+        return _solve_exact(problem, info, warm_start, timeout_s)
     # Chaos only ever perturbs the *float* attempt: the recovery path under
     # test is the verification chain itself, and the exact backend stays
     # the trust anchor, so an injected fault can cost a fallback solve but
     # never a wrong answer.
     injector = get_injector()
-    chaos_key = _problem_key(reduced) if injector is not None else ""
+    chaos_key = _problem_key(problem) if injector is not None else ""
     if injector is not None and injector.decide("solver", chaos_key):
         info.attempts.append(
             SolveAttempt(
@@ -250,11 +177,11 @@ def _solve_auto(
             )
         )
         info.fallback = True
-        return _solve_exact(problem, reduced, info, warm_start, timeout_s)
-    result, attempt = timed_solve(scipy, reduced, timeout_s=timeout_s)
+        return _solve_exact(problem, info, warm_start, timeout_s)
+    result, attempt = timed_solve(scipy, problem, timeout_s=timeout_s)
     info.attempts.append(attempt)
     if injector is not None and injector.decide("solver-wrong", chaos_key):
-        result = _corrupt_result(reduced, result)
+        result = _corrupt_result(problem, result)
     if result.is_optimal:
         repaired = _round_to_integral(problem, result)
         if repaired is not None:
@@ -263,7 +190,7 @@ def _solve_auto(
             return repaired
         # Rounded point violates the model: never trust it — fall back.
         info.fallback = True
-        return _solve_exact(problem, reduced, info, warm_start, timeout_s)
+        return _solve_exact(problem, info, warm_start, timeout_s)
     if result.status is Status.UNBOUNDED:
         info.backend = "scipy"
         return result
@@ -272,7 +199,7 @@ def _solve_auto(
     # is always re-proved by the exact solver — and that fallback result is
     # verified exactly like a first-class exact solve.
     info.fallback = True
-    return _solve_exact(problem, reduced, info, warm_start, timeout_s)
+    return _solve_exact(problem, info, warm_start, timeout_s)
 
 
 def _corrupt_result(problem: IlpProblem, result: IlpResult) -> IlpResult:
@@ -293,7 +220,6 @@ def solve_ilp(
     problem: IlpProblem,
     backend: str = "auto",
     *,
-    presolve: bool = True,
     warm_start: tuple[Fraction, ...] | None = None,
     timeout_s: float | None = None,
 ) -> IlpResult:
@@ -307,10 +233,6 @@ def solve_ilp(
     silently degrade synthesis quality (never correctness).
     """
     result, _ = solve_ilp_info(
-        problem,
-        backend,
-        presolve=presolve,
-        warm_start=warm_start,
-        timeout_s=timeout_s,
+        problem, backend, warm_start=warm_start, timeout_s=timeout_s
     )
     return result

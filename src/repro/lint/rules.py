@@ -13,8 +13,8 @@ Rule families:
 * ``TLM1xx`` **semantic** — gate meaning: the weight–threshold vector must
   realize its claimed defect tolerances (Eq. 1), weight signs must agree
   with the gate function's unateness, and the threshold must sit inside
-  the bounds implied by the weights (the same empty-bound-box reasoning
-  as ``repro.ilp.presolve``);
+  the bounds implied by the weights (outside that box the gate is
+  constant);
 * ``TLP2xx`` **parse** — carriers for structured ``.thblif`` parse errors
   (raised by :mod:`repro.io.thblif`, surfaced as diagnostics by the CLI).
 
@@ -470,18 +470,17 @@ def check_weight_signs(ctx: LintContext) -> Iterator[Diagnostic]:
     Severity.WARNING,
     "semantic",
     "The threshold must lie within the bounds implied by the weights "
-    "(otherwise the gate is constant), mirroring the presolve bound box.",
+    "(otherwise the bound box is empty and the gate is constant).",
 )
 def check_threshold_bounds(ctx: LintContext) -> Iterator[Diagnostic]:
     """The threshold must sit inside the bounds the weights imply.
 
     In the positive-unate form the reachable weighted sums span
     ``[0, sum(|w|)]``, so a meaningful gate needs
-    ``1 <= T_pos <= sum(|w|)``; anything outside is a constant gate —
-    the same empty-bound-box reasoning ``repro.ilp.presolve`` uses to
-    declare a model infeasible before any solver runs.  Zero-fanin gates
-    are exempt: the synthesizer legitimately emits them for constant
-    nodes.
+    ``1 <= T_pos <= sum(|w|)``; outside that box no reachable sum lies
+    on the other side of the threshold, so the gate is constant.
+    Zero-fanin gates are exempt: the synthesizer legitimately emits them
+    for constant nodes.
 
     Multi-threshold gates have no positive-unate normal form; for them
     the equivalent check is that at least one threshold is *crossable* —

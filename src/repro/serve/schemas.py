@@ -35,7 +35,6 @@ OPTION_FIELDS: dict[str, tuple[type, ...]] = {
     "gate_model": (str,),
     "splitting_strategy": (str,),
     "use_fastpath": (bool,),
-    "use_presolve": (bool,),
     "max_weight": (int, type(None)),
     "lint": (bool,),
     "analyze": (bool,),

@@ -1,5 +1,7 @@
 """Tests for checker formulation details and the max-weight / store paths."""
 
+import pytest
+
 from repro.boolean.cover import Cover
 from repro.boolean.function import BooleanFunction
 from repro.core.identify import ThresholdChecker, is_threshold_function
@@ -7,6 +9,7 @@ from repro.core.synthesis import SynthesisOptions, synthesize
 from repro.core.verify import verify_threshold_network
 from repro.engine.store import ResultStore
 from repro.ilp.model import Sense
+from repro.ilp.scipy_backend import have_scipy
 from repro.network.network import BooleanNetwork
 
 MAJORITY = "a b + a c + b c"
@@ -130,3 +133,26 @@ class TestStoreInjection:
         assert is_threshold_function(f, store=store) is not None
         assert is_threshold_function(f, max_weight=1, store=store) is None
         assert is_threshold_function(f, store=store) is not None
+
+
+class TestSolveCount:
+    """A rejected cover costs one solve per backend, symmetry or not."""
+
+    #: x0 x1 + x2 x3: unate but not threshold, with two interchangeable
+    #: input pairs.
+    TWO_PAIRS = ("11--", "--11")
+
+    def _stats(self, backend):
+        checker = ThresholdChecker(use_fastpath=False, backend=backend)
+        assert checker.check(Cover.from_strings(list(self.TWO_PAIRS))) is None
+        assert checker.stats.ilp_solved == 1
+        return checker.stats
+
+    def test_exact_backend_solves_once(self):
+        assert self._stats("exact").exact_solves == 1
+
+    @pytest.mark.skipif(not have_scipy(), reason="scipy missing")
+    def test_auto_reproves_infeasible_with_one_exact_solve(self):
+        stats = self._stats("auto")
+        assert stats.scipy_solves == 1
+        assert stats.exact_solves == 1

@@ -163,14 +163,17 @@ class TestVerificationChain:
         assert not info.fallback
         assert info.backend == "scipy"
 
-    def test_presolve_settles_infeasible_without_backends(self):
+    def test_infeasible_model_is_reproved_by_exact(self):
+        # x0 + x1 <= -1 has no point with x >= 0.  Whatever answers first,
+        # the INFEASIBLE that comes back is the exact solver's, verified.
         p = IlpProblem(num_vars=2, objective=[1, 1])
         p.add_constraint([1, 1], "<=", -1)
         result, info = solve_ilp_info(p, backend="auto")
         assert result.status is Status.INFEASIBLE
-        assert info.backend == "presolve"
+        assert info.backend == "exact"
         assert info.verified
-        assert info.attempts == []
+        assert info.solves_for("exact") == 1
+        assert info.fallback == have_scipy()
 
 
 @needs_scipy

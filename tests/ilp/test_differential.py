@@ -5,9 +5,14 @@ unate covers, (a) the Chow fast path, the exact backend, and the scipy
 backend agree on feasibility, and (b) every accepted weight–threshold
 vector satisfies every ON/OFF inequality — checked here in the strongest
 form, point by point over the full truth table with the defect tolerances.
+The exact backend's vectors (fast path off) must also match
+``golden_vectors.json`` cover by cover.
 """
 
+import functools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +21,11 @@ from repro.core.identify import ThresholdChecker
 from repro.ilp.scipy_backend import have_scipy
 
 NUM_COVERS = 520
+#: Covers per ``test_bounded_agreement`` case.
+NUM_BOUNDED_COVERS = 100
+#: The exact-ILP vector of every cover above, fast path off; regenerated
+#: only by ``make_golden.py``.
+GOLDEN_PATH = Path(__file__).with_name("golden_vectors.json")
 #: Support sizes, skewed small (ILP width = support + 1) but reaching 10.
 SIZE_POOL = [2, 2, 3, 3, 3, 4, 4, 4, 5, 5, 6, 6, 7, 8, 9, 10]
 
@@ -34,6 +44,18 @@ def _random_unate_cover(rng: random.Random) -> Cover:
             row.append(lit)
         rows.append("".join(row))
     return Cover.from_strings(rows)
+
+
+def vector_row(vec) -> list | None:
+    """A checker answer as a golden row: ``[weights, threshold]`` or None."""
+    if vec is None:
+        return None
+    return [list(vec.weights), vec.threshold]
+
+
+@functools.cache
+def _golden() -> dict:
+    return json.loads(GOLDEN_PATH.read_text())
 
 
 def _assert_vector_separates(cover, vec, delta_on, delta_off, context):
@@ -73,6 +95,9 @@ class TestDifferential:
             }
             verdicts = {name: r is not None for name, r in results.items()}
             assert len(set(verdicts.values())) == 1, (index, cover, verdicts)
+            assert vector_row(results["exact"]) == (
+                _golden()["feasibility"][index]
+            ), (index, cover)
             if results["fastpath"] is None:
                 rejected += 1
                 continue
@@ -109,17 +134,19 @@ class TestDifferential:
     def test_bounded_agreement(self, max_weight):
         """max_weight verdicts agree between the fast path and the ILP."""
         rng = random.Random(max_weight)
+        golden = _golden()[f"bounded[{max_weight}]"]
         fast = ThresholdChecker(
             use_fastpath=True, backend="exact", max_weight=max_weight
         )
         slow = ThresholdChecker(
             use_fastpath=False, backend="exact", max_weight=max_weight
         )
-        for index in range(100):
+        for index in range(NUM_BOUNDED_COVERS):
             cover = _random_unate_cover(rng)
             a = fast.check(cover)
             b = slow.check(cover)
             assert (a is None) == (b is None), (index, cover)
+            assert vector_row(b) == golden[index], (index, cover)
             if a is not None:
                 assert all(abs(w) <= max_weight for w in a.weights)
                 _assert_vector_separates(

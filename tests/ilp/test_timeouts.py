@@ -39,19 +39,14 @@ class TestBranchBoundTimeLimit:
 class TestDispatchTimeout:
     def test_exact_backend_reports_timeout_in_info(self):
         result, info = solve_ilp_info(
-            branching_problem(),
-            backend="exact",
-            presolve=False,
-            timeout_s=0.0,
+            branching_problem(), backend="exact", timeout_s=0.0
         )
         assert info.timed_out
         assert result.status is Status.INFEASIBLE
         assert any(a.timed_out for a in info.attempts)
 
     def test_untimed_solve_has_clean_info(self):
-        result, info = solve_ilp_info(
-            branching_problem(), backend="exact", presolve=False
-        )
+        result, info = solve_ilp_info(branching_problem(), backend="exact")
         assert result.status is Status.OPTIMAL
         assert not info.timed_out
 

@@ -91,6 +91,10 @@ class TestCommands:
         assert "engine:" in out and "backend=serial" in out
         assert "passes: collapse" in out
         assert "slowest tasks:" in out
+        # Each counter line is printed once, from the run totals.
+        lines = out.splitlines()
+        for prefix in ("checks:", "fastpath:", "solvers:"):
+            assert sum(line.startswith(prefix) for line in lines) == 1, prefix
 
     def test_synth_jobs_flag(self, blif_file, capsys):
         assert main(["synth", str(blif_file), "--jobs", "2"]) == 0
@@ -105,6 +109,7 @@ class TestCache:
         assert main(["synth", str(blif_file), "--cache", cache]) == 0
         cold = capsys.readouterr().out
         assert f"cache: {cache} holds" in cold
+        assert "persistent cache:" not in cold
         assert main(["synth", str(blif_file), "--cache", cache]) == 0
         warm = capsys.readouterr().out
         assert "0 misses" in warm

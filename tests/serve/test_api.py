@@ -94,10 +94,12 @@ class TestErrorPaths:
         assert isinstance(detail["line"], int)
 
     def test_unknown_option_is_400(self, client, small_blif):
-        with pytest.raises(ServeClientError) as err:
-            client.submit(small_blif, options={"warp_factor": 9})
-        assert err.value.status == 400
-        assert "warp_factor" in str(err.value)
+        # A removed option is rejected like any unknown one, never ignored.
+        for option, value in (("warp_factor", 9), ("use_presolve", True)):
+            with pytest.raises(ServeClientError) as err:
+                client.submit(small_blif, options={option: value})
+            assert err.value.status == 400
+            assert option in str(err.value)
 
     def test_bad_option_value_is_400(self, client, small_blif):
         with pytest.raises(ServeClientError) as err:
