@@ -683,7 +683,6 @@ def run_substrate_microbench(repeats: int = 3) -> dict:
     sim_packed = best_wall(packed_sim)
 
     return {
-        "backend": bitset.active_backend(),
         "cover_eval_legacy_s": round(eval_legacy, 4),
         "cover_eval_packed_s": round(eval_packed, 4),
         "cover_eval_speedup": round(eval_legacy / max(eval_packed, 1e-9), 1),

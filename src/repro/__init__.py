@@ -36,8 +36,8 @@ from repro.errors import (
 
 try:
     # The synthesis layers require numpy; the Boolean substrate above does
-    # not (the bitset package falls back to pure-Python int bitmasks).  A
-    # numpy-free interpreter still gets the cover algebra and the errors.
+    # not (its packed tables are Python ints).  A numpy-free interpreter
+    # still gets the cover algebra and the errors.
     from repro.core import (
         NetworkStats,
         SynthesisOptions,

@@ -1,41 +1,38 @@
 """Packed bit-parallel Boolean substrate.
 
-Truth tables and simulation-vector words are stored as packed bitsets —
-``numpy`` ``uint64`` arrays when numpy is importable, a pure-Python
-arbitrary-precision ``int`` bitmask otherwise (or when the fallback is
-forced) — behind one :class:`BitVec` type.  Bit *k* of a ``BitVec`` of
-width *W* is point/vector *k*; for truth tables ``W = 2**nvars`` and bit
-*i* of the point index is the value of variable *i*, matching
-:meth:`repro.boolean.cube.Cube.evaluate`.
+Truth tables and simulation-vector words are stored as packed bitsets in
+one :class:`BitVec` type whose ``words`` is a non-negative Python ``int``.
+Bit *k* of a ``BitVec`` of width *W* is point/vector *k*; for truth tables
+``W = 2**nvars`` and bit *i* of the point index is the value of variable
+*i*, matching :meth:`repro.boolean.cube.Cube.evaluate`.  The tables the
+synthesis flow builds are small (a gate or cone table has ``2**psi`` bits,
+a few 64-bit words), and on those one arbitrary-precision int operation
+is cheaper than dispatching an array operation.
 
 On top of :class:`BitVec` this module provides the kernels the rest of the
 library's hot paths are built on:
 
 * cover → packed truth table (:func:`cover_table`, :func:`key_table`,
-  :func:`cube_table`) — per cube one AND per literal over ``2**n/64``
-  words instead of a Python loop over ``2**n`` points;
-* packed cofactor / smoothing / tautology / minterm counting
-  (:func:`cofactor_table`, :func:`smooth_table`, :func:`table_is_tautology`);
-* Chow-parameter computation, single (:func:`chow_from_table`) and for a
-  whole batch of cones in one vectorized pass (:func:`chow_batch`);
+  :func:`cube_table`) — per cube one AND per literal over the whole table
+  instead of a Python loop over ``2**n`` points;
+* packed cofactor / smoothing / tautology / support
+  (:func:`cofactor_table`, :func:`smooth_table`, :func:`table_is_tautology`,
+  :func:`table_support`);
+* Chow-parameter computation (:func:`chow_from_table`);
 * weighted-sum enumeration over all input points
   (:func:`weighted_sums`), the workhorse of gate margin checks,
   multi-threshold placement, and cache vector re-verification;
 * N-point evaluation of SOP functions over packed simulation words
   (:func:`eval_cover_vecs`), the inner loop of network simulation.
 
-Backend selection: numpy is used when present; set the environment
-variable ``TELS_BITSET_BACKEND=python`` (read at import) or call
-:func:`set_backend` / :func:`force_backend` to exercise the pure-Python
-fallback.  Both backends produce bit-identical results — the differential
-suite (``tests/boolean/test_bitset_differential.py``) pins this.
+numpy is needed only by :meth:`BitVec.to_bool_array` and
+:meth:`BitVec.from_bool_array`, the bridge to the array code of the
+synthesis side; everything else runs without it.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 try:  # pragma: no cover - exercised by the CI no-numpy job
     import numpy as _np
@@ -46,72 +43,28 @@ except ImportError:  # pragma: no cover
 #: wider functions stay on the recursive cover algebra.
 MAX_TABLE_VARS = 16
 
-_WORD = 64
-_WORD_MASK = (1 << _WORD) - 1
 
-#: 64-bit pattern of variable ``i`` (i < 6): bit k set iff bit i of k set.
-_VAR_PATTERNS = tuple(
-    sum(1 << k for k in range(_WORD) if (k >> i) & 1) for i in range(6)
-)
+class _Masks(dict):
+    """width -> the all-ones int of that many bits, built on first use."""
 
-
-def _numpy_available() -> bool:
-    return _np is not None
+    def __missing__(self, width: int) -> int:
+        mask = self[width] = (1 << width) - 1
+        return mask
 
 
-_backend = "numpy" if _np is not None else "python"
-if os.environ.get("TELS_BITSET_BACKEND", "").strip().lower() in (
-    "python",
-    "int",
-):
-    _backend = "python"
-
-
-def active_backend() -> str:
-    """The backend new :class:`BitVec` instances are built on."""
-    return _backend
-
-
-def set_backend(name: str) -> None:
-    """Select the packing backend: ``"numpy"``, ``"python"``, or ``"auto"``."""
-    global _backend
-    if name == "auto":
-        name = "numpy" if _np is not None else "python"
-    if name not in ("numpy", "python"):
-        raise ValueError(f"unknown bitset backend {name!r}")
-    if name == "numpy" and _np is None:
-        raise RuntimeError("numpy backend requested but numpy is not importable")
-    _backend = name
-    _column_cache.clear()
-
-
-@contextmanager
-def force_backend(name: str) -> Iterator[None]:
-    """Temporarily force a backend (tests / differential harnesses)."""
-    saved = _backend
-    set_backend(name)
-    try:
-        yield
-    finally:
-        set_backend(saved)
-
-
-def _nwords(width: int) -> int:
-    return max(1, (width + _WORD - 1) // _WORD)
+_ONES = _Masks()
 
 
 class BitVec:
     """An immutable packed vector of ``width`` bits.
 
-    ``words`` is either a ``numpy`` ``uint64`` array of ``ceil(width/64)``
-    words (bits beyond ``width`` are kept zero) or a non-negative Python
-    int below ``2**width``.  All operators preserve the invariant and the
-    backend of the left operand.
+    ``words`` is a non-negative Python int below ``2**width``; every
+    operator keeps it there.
     """
 
     __slots__ = ("width", "words")
 
-    def __init__(self, width: int, words):
+    def __init__(self, width: int, words: int):
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "words", words)
 
@@ -119,39 +72,29 @@ class BitVec:
         raise AttributeError("BitVec is immutable")
 
     def __reduce__(self):
-        return (BitVec.from_int, (self.to_int(), self.width))
+        return (BitVec.from_int, (self.words, self.width))
 
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
     def zeros(cls, width: int) -> "BitVec":
-        if _backend == "numpy":
-            return cls(width, _np.zeros(_nwords(width), dtype=_np.uint64))
         return cls(width, 0)
 
     @classmethod
     def ones(cls, width: int) -> "BitVec":
-        return cls.zeros(width).invert()
+        return cls(width, _ONES[width])
 
     @classmethod
     def from_int(cls, value: int, width: int) -> "BitVec":
         """Pack the low ``width`` bits of a Python int."""
-        value &= (1 << width) - 1
-        if _backend == "numpy":
-            n = _nwords(width)
-            raw = value.to_bytes(n * 8, "little")
-            return cls(width, _np.frombuffer(raw, dtype=_np.uint64).copy())
-        return cls(width, value)
+        return cls(width, value & _ONES[width])
 
     @classmethod
     def from_bits(cls, bits: Sequence[int]) -> "BitVec":
         """Pack a 0/1 sequence; ``bits[k]`` becomes bit ``k``."""
-        value = 0
-        for k, b in enumerate(bits):
-            if b:
-                value |= 1 << k
-        return cls.from_int(value, len(bits))
+        digits = "".join(["1" if b else "0" for b in reversed(bits)])
+        return cls(len(bits), int(digits, 2) if digits else 0)
 
     @classmethod
     def random(cls, width: int, rng) -> "BitVec":
@@ -162,26 +105,21 @@ class BitVec:
     # Conversions
     # ------------------------------------------------------------------
     def to_int(self) -> int:
-        if isinstance(self.words, int):
-            return self.words
-        return int.from_bytes(self.words.tobytes(), "little")
+        return self.words
 
     def to_bits(self) -> list[int]:
-        value = self.to_int()
+        value = self.words
         return [(value >> k) & 1 for k in range(self.width)]
 
     def to_bool_array(self):
         """A numpy bool array of the bits (requires numpy)."""
         if _np is None:
             raise RuntimeError("to_bool_array requires numpy")
-        if isinstance(self.words, int):
-            raw = self.words.to_bytes(_nwords(self.width) * 8, "little")
-            words = _np.frombuffer(raw, dtype=_np.uint8)
-        else:
-            words = self.words.view(_np.uint8)
-        return _np.unpackbits(words, bitorder="little")[: self.width].astype(
-            bool
+        raw = self.words.to_bytes((self.width + 7) // 8, "little")
+        bits = _np.unpackbits(
+            _np.frombuffer(raw, dtype=_np.uint8), bitorder="little"
         )
+        return bits[: self.width].astype(bool)
 
     @classmethod
     def from_bool_array(cls, array) -> "BitVec":
@@ -196,89 +134,53 @@ class BitVec:
     # ------------------------------------------------------------------
     # Bitwise algebra
     # ------------------------------------------------------------------
-    def _tail_mask_words(self):
-        """Numpy words with every valid bit set (the width mask)."""
-        n = _nwords(self.width)
-        mask = _np.full(n, _WORD_MASK, dtype=_np.uint64)
-        tail = self.width % _WORD
-        if tail and self.width:
-            mask[-1] = _np.uint64((1 << tail) - 1)
-        if self.width == 0:
-            mask[:] = 0
-        return mask
-
     def __and__(self, other: "BitVec") -> "BitVec":
-        if isinstance(self.words, int):
-            return BitVec(self.width, self.words & other.to_int())
         return BitVec(self.width, self.words & other.words)
 
     def __or__(self, other: "BitVec") -> "BitVec":
-        if isinstance(self.words, int):
-            return BitVec(self.width, self.words | other.to_int())
         return BitVec(self.width, self.words | other.words)
 
     def __xor__(self, other: "BitVec") -> "BitVec":
-        if isinstance(self.words, int):
-            return BitVec(self.width, self.words ^ other.to_int())
         return BitVec(self.width, self.words ^ other.words)
 
     def andnot(self, other: "BitVec") -> "BitVec":
         """``self & ~other`` without materializing the complement."""
-        if isinstance(self.words, int):
-            return BitVec(self.width, self.words & ~other.to_int())
         return BitVec(self.width, self.words & ~other.words)
 
     def invert(self) -> "BitVec":
-        if isinstance(self.words, int):
-            return BitVec(self.width, ~self.words & ((1 << self.width) - 1))
-        return BitVec(self.width, ~self.words & self._tail_mask_words())
+        return BitVec(self.width, self.words ^ _ONES[self.width])
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def count(self) -> int:
         """Population count."""
-        if isinstance(self.words, int):
-            return self.words.bit_count()
-        return int(_np.bitwise_count(self.words).sum())
+        return self.words.bit_count()
 
     def is_zero(self) -> bool:
-        if isinstance(self.words, int):
-            return self.words == 0
-        return not self.words.any()
+        return self.words == 0
 
     def is_ones(self) -> bool:
         """True when every one of the ``width`` bits is set."""
-        if isinstance(self.words, int):
-            return self.words == (1 << self.width) - 1
-        return bool((self.words == self._tail_mask_words()).all())
+        return self.words == _ONES[self.width]
 
     def test(self, k: int) -> bool:
         """Value of bit ``k``."""
-        if isinstance(self.words, int):
-            return bool((self.words >> k) & 1)
-        return bool((int(self.words[k // _WORD]) >> (k % _WORD)) & 1)
+        return bool((self.words >> k) & 1)
 
     def first_set(self) -> int | None:
         """Index of the lowest set bit, or None when all-zero."""
-        if isinstance(self.words, int):
-            if self.words == 0:
-                return None
-            return (self.words & -self.words).bit_length() - 1
-        nz = _np.nonzero(self.words)[0]
-        if not nz.size:
+        if self.words == 0:
             return None
-        j = int(nz[0])
-        w = int(self.words[j])
-        return j * _WORD + ((w & -w).bit_length() - 1)
+        return (self.words & -self.words).bit_length() - 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitVec):
             return NotImplemented
-        return self.width == other.width and self.to_int() == other.to_int()
+        return self.width == other.width and self.words == other.words
 
     def __hash__(self) -> int:
-        return hash((self.width, self.to_int()))
+        return hash((self.width, self.words))
 
     def __repr__(self) -> str:
         return f"BitVec(width={self.width}, popcount={self.count()})"
@@ -288,64 +190,57 @@ class BitVec:
 # Truth-table structure: variable columns, cover tables, cofactors
 # ----------------------------------------------------------------------
 
-#: (backend, nvars, var) -> BitVec column cache.  Columns are tiny (one
-#: table each) and requested constantly, so a plain dict is the right call.
-_column_cache: dict[tuple[str, int, int], BitVec] = {}
+#: (nvars, var) -> BitVec column cache.  Columns are tiny (one table
+#: each) and requested constantly, so a plain dict is the right call.
+_column_cache: dict[tuple[int, int], BitVec] = {}
 
 
 def variable_column(var: int, nvars: int) -> BitVec:
     """The packed truth table of variable ``var`` over ``2**nvars`` points."""
-    key = (_backend, nvars, var)
+    key = (nvars, var)
     cached = _column_cache.get(key)
     if cached is not None:
         return cached
     width = 1 << nvars
-    if _backend == "numpy":
-        n = _nwords(width)
-        if var < 6:
-            words = _np.full(n, _VAR_PATTERNS[var], dtype=_np.uint64)
-            if nvars < 6:
-                words &= BitVec.zeros(width)._tail_mask_words()
-        else:
-            stride = 1 << (var - 6)
-            block = _np.arange(n, dtype=_np.uint64) // _np.uint64(stride)
-            words = _np.where(
-                block & _np.uint64(1), _np.uint64(_WORD_MASK), _np.uint64(0)
-            )
-        column = BitVec(width, words)
-    else:
-        period = 1 << (var + 1)
-        half = 1 << var
-        block = (1 << half) - 1
-        value = 0
-        for start in range(half, width, period):
-            value |= block << start
-        column = BitVec(width, value)
-    _column_cache[key] = column
+    half = 1 << var
+    # One period is ``half`` zeros then ``half`` ones; double it to width.
+    value = _ONES[half] << half
+    period = half << 1
+    while period < width:
+        value |= value << period
+        period <<= 1
+    column = _column_cache[key] = BitVec.from_int(value, width)
     return column
+
+
+def _cube_words(pos: int, neg: int, nvars: int) -> int:
+    """The packed table of one cube, as an int."""
+    value = _ONES[1 << nvars]
+    literals = pos | neg
+    while literals:
+        low = literals & -literals
+        column = variable_column(low.bit_length() - 1, nvars).words
+        value = value & column if pos & low else value & ~column
+        literals ^= low
+    return value
 
 
 def cube_table(pos: int, neg: int, nvars: int) -> BitVec:
     """Packed truth table of one cube given its literal masks."""
-    table = BitVec.ones(1 << nvars)
-    for var in range(nvars):
-        bit = 1 << var
-        if pos & bit:
-            table = table & variable_column(var, nvars)
-        elif neg & bit:
-            table = table.andnot(variable_column(var, nvars))
-    return table
+    return BitVec(1 << nvars, _cube_words(pos, neg, nvars))
 
 
 def key_table(key: tuple) -> BitVec:
     """Packed truth table of a cover key ``(nvars, ((pos, neg), ...))``."""
     nvars, rows = key
-    table = BitVec.zeros(1 << nvars)
+    width = 1 << nvars
+    full = _ONES[width]
+    value = 0
     for pos, neg in rows:
-        table = table | cube_table(pos, neg, nvars)
-        if table.is_ones():
+        value |= _cube_words(pos, neg, nvars)
+        if value == full:
             break
-    return table
+    return BitVec(width, value)
 
 
 def cover_table(cover) -> BitVec:
@@ -364,27 +259,13 @@ def cover_table(cover) -> BitVec:
 
 def cofactor_table(table: BitVec, nvars: int, var: int, value: bool) -> BitVec:
     """Packed Shannon cofactor: ``var`` becomes free (both halves equal)."""
-    column = variable_column(var, nvars)
-    if isinstance(table.words, int):
-        if value:
-            sel = table.words & column.words
-            return BitVec(table.width, sel | (sel >> (1 << var)))
-        sel = table.words & ~column.words & ((1 << table.width) - 1)
-        result = sel | (sel << (1 << var))
-        return BitVec(table.width, result & ((1 << table.width) - 1))
-    if var < 6:
-        shift = _np.uint64(1 << var)
-        if value:
-            sel = table.words & column.words
-            return BitVec(table.width, sel | (sel >> shift))
-        sel = table.words & ~column.words
-        out = (sel | (sel << shift)) & table._tail_mask_words()
-        return BitVec(table.width, out)
-    stride = 1 << (var - 6)
-    grouped = table.words.reshape(-1, 2, stride)
-    half = grouped[:, 1 if value else 0, :]
-    out = _np.concatenate([half[:, None, :], half[:, None, :]], axis=1)
-    return BitVec(table.width, out.reshape(-1).copy())
+    column = variable_column(var, nvars).words
+    shift = 1 << var
+    if value:
+        sel = table.words & column
+        return BitVec(table.width, sel | (sel >> shift))
+    sel = table.words & ~column
+    return BitVec(table.width, sel | (sel << shift))
 
 
 def smooth_table(table: BitVec, nvars: int, var: int) -> BitVec:
@@ -399,55 +280,29 @@ def table_is_tautology(table: BitVec) -> bool:
 
 
 def table_support(table: BitVec, nvars: int) -> int:
-    """Bitmask of variables the function actually depends on."""
+    """Bitmask of variables the function actually depends on.
+
+    ``var`` matters iff the ``var = 1`` half of the table, shifted onto
+    the ``var = 0`` half, differs from it (the two cofactors differ).
+    """
+    words = table.words
     mask = 0
     for var in range(nvars):
-        pos = cofactor_table(table, nvars, var, True)
-        neg = cofactor_table(table, nvars, var, False)
-        if pos != neg:
+        column = variable_column(var, nvars).words
+        if (words & column) >> (1 << var) != words & ~column:
             mask |= 1 << var
     return mask
-
-
-# ----------------------------------------------------------------------
-# Chow parameters — single cone and vectorized cone batches
-# ----------------------------------------------------------------------
 
 
 def chow_from_table(table: BitVec, nvars: int, variables) -> dict[int, int]:
     """Chow parameters over the full space, matching the historical
     ``cover.restrict(var, True).num_minterms()`` definition (each count is
     doubled because the restricted cofactor leaves the variable free)."""
+    words = table.words
     return {
-        var: 2 * (table & variable_column(var, nvars)).count()
+        var: 2 * (words & variable_column(var, nvars).words).bit_count()
         for var in variables
     }
-
-
-def chow_batch(
-    tables: Sequence[BitVec], nvars: int
-) -> list[list[int]]:
-    """Chow parameters for a batch of same-width cones in one pass.
-
-    With numpy the whole batch is reduced with two vectorized popcount
-    sweeps (an ``(N, nvars, words)`` broadcast); the fallback loops.
-    Entry ``[k][i]`` is the (doubled) Chow parameter of variable ``i`` of
-    cone ``k``.
-    """
-    if not tables:
-        return []
-    if _backend == "numpy" and not isinstance(tables[0].words, int):
-        stacked = _np.stack([t.words for t in tables])  # (N, words)
-        columns = _np.stack(
-            [variable_column(v, nvars).words for v in range(nvars)]
-        )  # (nvars, words)
-        meet = stacked[:, None, :] & columns[None, :, :]
-        counts = _np.bitwise_count(meet).sum(axis=2)  # (N, nvars)
-        return (2 * counts).astype(int).tolist()
-    return [
-        [2 * (t & variable_column(v, nvars)).count() for v in range(nvars)]
-        for t in tables
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -455,35 +310,22 @@ def chow_batch(
 # ----------------------------------------------------------------------
 
 
-def weighted_sums(weights: Sequence[int | float]):
+def weighted_sums(weights: Sequence[int | float]) -> list[int | float]:
     """Weighted input sums of all ``2**l`` points, in point order.
 
     Built by the doubling recurrence ``S_{i+1} = S_i ++ (S_i + w_i)``, so
     index ``p`` has bit *i* of ``p`` selecting whether ``w_i`` is added —
-    the same point convention as the truth tables.  Returns a numpy
-    ``int64`` (or ``float64``) array, or a Python list on the fallback.
+    the same point convention as the truth tables.
     """
-    if _backend == "numpy":
-        dtype = (
-            _np.float64
-            if any(isinstance(w, float) for w in weights)
-            else _np.int64
-        )
-        sums = _np.zeros(1, dtype=dtype)
-        for w in weights:
-            sums = _np.concatenate([sums, sums + w])
-        return sums
-    sums = [0]
+    sums: list[int | float] = [0]
     for w in weights:
-        sums = sums + [s + w for s in sums]
+        sums += [s + w for s in sums]
     return sums
 
 
-def fires_table(sums, threshold: int) -> BitVec:
+def fires_table(sums: Sequence[int | float], threshold: int) -> BitVec:
     """Pack ``sums >= threshold`` into a truth-table BitVec."""
-    if _backend == "numpy" and not isinstance(sums, list):
-        return BitVec.from_bool_array(sums >= threshold)
-    return BitVec.from_bits([1 if s >= threshold else 0 for s in sums])
+    return BitVec.from_bits([s >= threshold for s in sums])
 
 
 # ----------------------------------------------------------------------
@@ -498,19 +340,23 @@ def eval_cover_vecs(
 
     ``fanin_vecs[i]`` carries the ``width`` simulation values of the
     cover's variable *i*; the result packs the cover's value on every
-    vector.  One AND per literal per cube — the packed analogue of the
-    historical int-mask loop, shared by both backends.
+    vector.  One AND per literal per cube.
     """
-    result = BitVec.zeros(width)
+    full = _ONES[width]
+    result = 0
     for cube in cover.cubes:
-        term = BitVec.ones(width)
-        for var, phase in cube.literals():
-            vec = fanin_vecs[var]
-            term = (term & vec) if phase else term.andnot(vec)
-            if term.is_zero():
+        term = full
+        pos = cube.pos
+        literals = pos | cube.neg
+        while literals:
+            low = literals & -literals
+            vec = fanin_vecs[low.bit_length() - 1].words
+            term = term & vec if pos & low else term & ~vec
+            if not term:
                 break
+            literals ^= low
         else:
-            result = result | term
-            if result.is_ones():
+            result |= term
+            if result == full:
                 break
-    return result
+    return BitVec(width, result)

@@ -3,12 +3,14 @@
 Every threshold function is unate (Kohavi), so unateness is the cheap first
 filter TELS applies before spending an ILP solve on a node.  This module
 classifies each variable of a cover as positive unate, negative unate, binate,
-or absent, both *syntactically* (phases appearing in the given cover) and
-*semantically* (monotonicity of the underlying function).
+or absent *syntactically*, from the literal phases appearing in the given
+cover.
 
 The synthesis flow works on algebraically-factored networks whose node covers
 are already SCC-minimal, so syntactic unateness is what the paper's algorithms
-consume; the semantic check is provided for validation and tests.
+consume.  Dependence on an input is read from the packed truth table
+(:func:`repro.boolean.bitset.table_support`); the semantic (monotonicity)
+classification is kept in the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -67,33 +69,9 @@ def syntactic_unateness(cover: Cover) -> UnatenessReport:
     return UnatenessReport(tuple(phases))
 
 
-def semantic_unateness(cover: Cover) -> UnatenessReport:
-    """Classify each variable by monotonicity of the function itself.
-
-    Variable x is positive (negative) unate when ``f_{x=0} <= f_{x=1}``
-    (``f_{x=1} <= f_{x=0}``); independent when both hold; binate when neither
-    holds.  This is exact but costs containment checks per variable.
-    """
-    phases = []
-    for var in range(cover.nvars):
-        f0, f1 = cover.shannon(var)
-        up = f1.covers(f0)  # f0 <= f1
-        down = f0.covers(f1)  # f1 <= f0
-        if up and down:
-            phases.append(Phase.ABSENT)
-        elif up:
-            phases.append(Phase.POSITIVE)
-        elif down:
-            phases.append(Phase.NEGATIVE)
-        else:
-            phases.append(Phase.BINATE)
-    return UnatenessReport(tuple(phases))
-
-
-def is_unate(cover: Cover, semantic: bool = False) -> bool:
-    """Convenience wrapper: True when no variable is binate."""
-    report = semantic_unateness(cover) if semantic else syntactic_unateness(cover)
-    return report.is_unate
+def is_unate(cover: Cover) -> bool:
+    """Convenience wrapper: True when no variable is syntactically binate."""
+    return syntactic_unateness(cover).is_unate
 
 
 def to_positive_unate(cover: Cover) -> tuple[Cover, tuple[bool, ...]]:

@@ -188,12 +188,6 @@ class MultiThresholdVector:
 GateVector = WeightThresholdVector | MultiThresholdVector
 
 
-def _point_sums(weights: tuple[int, ...]) -> Iterator[int]:
-    """Weighted sums of all ``2**l`` input points (small l only)."""
-    for total in bitset.weighted_sums(weights):
-        yield int(total)
-
-
 @dataclass(frozen=True)
 class ThresholdGate:
     """A named threshold-gate instance inside a threshold network.

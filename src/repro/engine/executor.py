@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
@@ -46,7 +47,7 @@ from repro.engine.cone import ConeSynthesizer
 from repro.engine.resilience import Deadline, ResiliencePolicy, TaskFailure
 from repro.engine.store import ResultStore, StoreDelta
 from repro.engine.tasks import SynthTask, TaskResult
-from repro.errors import DeadlineExceeded, TransientError
+from repro.errors import DeadlineExceeded, InjectedCrash, TransientError
 from repro.faults.injector import STALL_SECONDS, get_injector
 from repro.network.network import BooleanNetwork
 
@@ -156,11 +157,15 @@ def _worker_fault_hook(task_id: str, attempt: int):
 
     Decisions are keyed on ``task_id:attempt`` so a retried cone rolls the
     dice again — an injected crash is transient, exactly like the real
-    fault it models.  ``worker`` dies mid-cone via ``os._exit`` (the pool
-    sees a broken process, not an exception); ``stall`` sleeps through the
-    cooperative deadline checks once, which is what the watchdog exists
-    for.  Workers inherit ``TELS_CHAOS`` from the parent at spawn, so
-    every process rebuilds the same injector and the same decisions.
+    fault it models.  ``worker`` dies mid-cone via ``os._exit`` when the
+    cone runs on its process's main thread (a pool process or ``tels
+    worker``: the pool sees a broken process, not an exception); on any
+    other thread it raises :class:`~repro.errors.InjectedCrash`, which the
+    worker loop reports as a ``"crash"`` failure.  ``stall`` sleeps
+    through the cooperative deadline checks once, which is what the
+    watchdog exists for.  Workers inherit ``TELS_CHAOS`` from the parent
+    at spawn, so every process rebuilds the same injector and the same
+    decisions.
     """
     injector = get_injector()
     if injector is None:
@@ -169,7 +174,9 @@ def _worker_fault_hook(task_id: str, attempt: int):
     if injector.decide("worker", key):
 
         def crash() -> None:
-            os._exit(1)
+            if threading.current_thread() is threading.main_thread():
+                os._exit(1)
+            raise InjectedCrash(f"injected worker crash in cone {task_id!r}")
 
         return crash
     if injector.decide("stall", key):

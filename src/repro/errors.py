@@ -68,5 +68,12 @@ class TransientError(ReproError):
     or a solver backend error that is not a property of the model."""
 
 
+class InjectedCrash(ReproError):
+    """An injected ``worker`` chaos fault in a cone that does not run on its
+    process's main thread (an in-process worker thread).  Ending the process
+    there would end its host too, so the worker reports the cone as a
+    ``"crash"`` failure instead."""
+
+
 class ChaosError(ReproError):
     """Raised on a malformed ``TELS_CHAOS`` fault-injection spec."""

@@ -7,7 +7,8 @@ Faults are enabled through the ``TELS_CHAOS`` environment variable::
 i.e. a comma-separated list of ``site=rate`` pairs followed by an optional
 ``:seed`` (default 0).  Sites:
 
-* ``worker``       — a pool worker calls ``os._exit(1)`` mid-cone;
+* ``worker``       — a pool or ``tels worker`` process calls ``os._exit(1)``
+  mid-cone (an in-process worker thread raises ``InjectedCrash`` instead);
 * ``stall``        — a pool worker sleeps long enough to trip the watchdog;
 * ``solver``       — the float (scipy) solver attempt reports a timeout;
 * ``solver-wrong`` — the float solver attempt returns a wrong status/point;

@@ -97,28 +97,6 @@ def chow_parameters(cover: Cover) -> dict[int, int]:
     }
 
 
-def chow_parameters_batch(covers: Sequence[Cover]) -> list[dict[int, int]]:
-    """Chow parameters for many covers at once (bit-parallel when packed).
-
-    Covers sharing a variable count are screened in one broadcast popcount
-    pass; unpackable covers fall back to :func:`chow_parameters` per cover.
-    """
-    out: list[dict[int, int] | None] = [None] * len(covers)
-    groups: dict[int, list[int]] = {}
-    for idx, cover in enumerate(covers):
-        if cover.packable() and cover.nvars > 0:
-            groups.setdefault(cover.nvars, []).append(idx)
-        else:
-            out[idx] = chow_parameters(cover)
-    for nvars, indices in groups.items():
-        tables = [covers[i].packed_table() for i in indices]
-        rows = bitset.chow_batch(tables, nvars)
-        for i, row in zip(indices, rows):
-            support = covers[i].support_vars()
-            out[i] = {var: row[var] for var in support}
-    return [row if row is not None else {} for row in out]
-
-
 def two_monotonicity_violation(
     cover: Cover, support: list[int] | None = None
 ) -> tuple[int, int] | None:

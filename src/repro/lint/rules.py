@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Iterator
 from typing import TYPE_CHECKING
 
-from repro.boolean.unate import Phase, semantic_unateness
+from repro.boolean import bitset
 from repro.core.threshold import (
     MultiThresholdVector,
     ThresholdGate,
@@ -422,7 +422,8 @@ def check_weight_signs(ctx: LintContext) -> Iterator[Diagnostic]:
     """Flag gate inputs the gate function does not depend on.
 
     A zero weight is a dead input outright.  A nonzero weight is dead when
-    ``semantic_unateness`` reports the input ABSENT: no input point's sum
+    the gate's packed truth table does not depend on the input
+    (:func:`~repro.boolean.bitset.table_support`): no input point's sum
     crosses the threshold with it.  Signs need no check of their own:
     ``[sum(w·x) >= T]`` is monotone along ``sign(w_i)``, so an LTG is
     positive unate in each positive-weight input and negative unate in
@@ -451,9 +452,9 @@ def check_weight_signs(ctx: LintContext) -> Iterator[Diagnostic]:
             and isinstance(gate.vector, WeightThresholdVector)
         ):
             continue
-        phases = semantic_unateness(gate.local_function().cover).phases
-        for name, weight, phase in zip(gate.inputs, gate.weights, phases):
-            if weight != 0 and phase is Phase.ABSENT:
+        support = bitset.table_support(gate.vector.table(), gate.fanin)
+        for i, (name, weight) in enumerate(zip(gate.inputs, gate.weights)):
+            if weight != 0 and not (support >> i) & 1:
                 yield ctx.diag(
                     spec,
                     f"gate {gate.name!r} input {name!r} has weight {weight} "

@@ -43,7 +43,12 @@ from repro.engine.executor import _worker_fault_hook
 from repro.engine.resilience import Deadline, ResiliencePolicy
 from repro.engine.store import ResultStore
 from repro.engine.tasks import TaskResult
-from repro.errors import DeadlineExceeded, SynthesisError, TransientError
+from repro.errors import (
+    DeadlineExceeded,
+    InjectedCrash,
+    SynthesisError,
+    TransientError,
+)
 from repro.serve.broker import DEFAULT_LEASE_S, WorkClient, encode_blob
 from repro.serve.transport import (
     HttpStatusError,
@@ -216,6 +221,8 @@ class Worker:
                 result = self._run_task(
                     state, task_id, str(row["root"]), attempt
                 )
+            except InjectedCrash as exc:
+                failure = {"kind": "crash", "message": str(exc)}
             except DeadlineExceeded as exc:
                 failure = {"kind": "timeout", "message": str(exc)}
             except TransientError as exc:

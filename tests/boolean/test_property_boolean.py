@@ -7,7 +7,8 @@ from repro.boolean.cover import Cover
 from repro.boolean.divide import algebraic_product, divide
 from repro.boolean.factor import factor, verify_factoring
 from repro.boolean.minimize import minimize
-from repro.boolean.unate import semantic_unateness, syntactic_unateness
+from repro.boolean.unate import syntactic_unateness
+from tests.boolean.unate_oracle import semantic_unateness
 
 
 @st.composite

@@ -13,6 +13,7 @@ from repro.engine.scheduler import run_synthesis
 from repro.io.blif import parse_blif
 from repro.io.thblif import to_thblif
 from repro.network.scripts import prepare_tels
+from repro.network.simulate import equivalent_threshold_networks
 from repro.serve.app import ServeApp
 from repro.serve.broker import WorkClient
 from repro.serve.transport import HttpTransport
@@ -35,10 +36,18 @@ MULTI_CONE_BLIF = """\
 """
 
 
-def synth(blif: str, distribute: str | None = None, **kwargs):
+def synth(
+    blif: str,
+    distribute: str | None = None,
+    options: SynthesisOptions | None = None,
+    **kwargs,
+):
     prepared = prepare_tels(parse_blif(blif))
     return run_synthesis(
-        prepared, SynthesisOptions(), distribute=distribute, **kwargs
+        prepared,
+        options or SynthesisOptions(),
+        distribute=distribute,
+        **kwargs,
     )
 
 
@@ -126,8 +135,14 @@ class TestWorkerDeath:
             )
 
         threading.Thread(target=start_survivor, daemon=True).start()
+        # The rogue's death is one crash of each cone it held, on purpose;
+        # one more than the default poison budget leaves the usual three
+        # for any TELS_CHAOS worker faults the survivor meets.
+        options = SynthesisOptions(poison_crashes=4)
         try:
-            remote = synth(MULTI_CONE_BLIF, distribute=daemon.url)
+            remote = synth(
+                MULTI_CONE_BLIF, distribute=daemon.url, options=options
+            )
         finally:
             if survivor_handle:
                 stop_workers(survivor_handle[0])
@@ -136,6 +151,29 @@ class TestWorkerDeath:
         assert remote.trace.lease_expirations >= 1
         assert remote.trace.requeues >= 1
         assert daemon.manager.broker.lease_expirations >= 1
+
+    def test_injected_crash_in_worker_thread_reports_crash_failures(
+        self, daemon, monkeypatch
+    ):
+        """``worker=1.0`` crashes every attempt of every cone.  A worker
+        thread must not end its host process (here: pytest); each crash
+        comes back as a ``"crash"`` failure, and the retry ladder
+        quarantines every cone to the one-to-one fallback."""
+        serial = synth(MULTI_CONE_BLIF)
+        monkeypatch.setenv("TELS_CHAOS", "worker=1.0:1")
+        worker = start_worker_thread(daemon.url, worker_id="crashy")
+        try:
+            remote = synth(MULTI_CONE_BLIF, distribute=daemon.url)
+            assert worker[0].is_alive()
+        finally:
+            stop_workers(worker)
+        assert not worker[0].is_alive()
+        trace = remote.trace
+        assert trace.remote_fallback_tasks == 0
+        assert trace.quarantined
+        assert {reason for _task, reason in trace.degraded} == {"quarantined"}
+        assert trace.requeues >= 2 * len(trace.quarantined)
+        assert equivalent_threshold_networks(remote.network, serial.network)
 
 
 class TestGracefulDegradation:

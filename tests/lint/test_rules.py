@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.boolean.unate import Phase, semantic_unateness
+from repro.boolean.unate import Phase
 from repro.core.threshold import (
     ThresholdGate,
     ThresholdNetwork,
@@ -20,6 +20,7 @@ from repro.core.threshold import (
 from repro.lint.diagnostics import LintOptions, Severity
 from repro.lint.rules import RULE_REGISTRY, registered_rules
 from repro.lint.runner import run_lint
+from tests.boolean.unate_oracle import semantic_unateness
 
 
 def gate(
@@ -181,9 +182,9 @@ class TestStructuralRules:
         net = network(
             ("a",), ("y",), (raw_gate("y", ("a", "a"), (1, 1), 2),)
         )
-        # Restrict to the structural rule: TLM102's local_function()
-        # legitimately refuses a gate with duplicate variable names.
-        found = rule_ids(run_lint(net, LintOptions(rules=("TLS008",))), "TLS008")
+        # Every rule runs: TLM102 reads the gate's packed table, so a
+        # duplicated fanin no longer stops the pass.
+        found = rule_ids(run_lint(net), "TLS008")
         assert len(found) == 1
         assert found[0].net == "a"
 
@@ -477,3 +478,24 @@ def test_ltg_phase_follows_weight_sign(weights, threshold):
             assert phase in (Phase.ABSENT, Phase.NEGATIVE)
         else:
             assert phase is Phase.ABSENT
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-6, 6), min_size=1, max_size=8),
+    st.integers(-24, 24),
+)
+def test_tlm102_dead_inputs_match_semantic_oracle(weights, threshold):
+    """TLM102 flags exactly the inputs the semantic oracle reports ABSENT."""
+    names = tuple(f"x{i}" for i in range(len(weights)))
+    g = gate("y", names, tuple(weights), threshold)
+    net = network(names, ("y",), (g,))
+    found = rule_ids(run_lint(net, LintOptions(rules=("TLM102",))), "TLM102")
+    flagged = {
+        name for name in names for d in found if f"input {name!r}" in d.message
+    }
+    phases = semantic_unateness(g.local_function().cover).phases
+    absent = {
+        name for name, phase in zip(names, phases) if phase is Phase.ABSENT
+    }
+    assert flagged == absent
