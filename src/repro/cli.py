@@ -860,7 +860,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
             resolve_url(args.url),
             worker_id=args.worker_id,
             max_tasks=args.max_tasks,
-            poll_s=args.poll_s,
             stop=stop,
             use_network_cache=not args.no_network_cache,
         )
@@ -1284,9 +1283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", default=None, dest="worker_id")
     p.add_argument(
         "--max-tasks", type=int, default=4, help="cones per claim batch"
-    )
-    p.add_argument(
-        "--poll-s", type=float, default=0.2, help="idle poll interval"
     )
     p.add_argument(
         "--no-network-cache",

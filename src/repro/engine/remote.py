@@ -4,10 +4,13 @@
 ``submit/wait/close`` surface (next to :class:`~repro.engine.executor.
 SerialExecutor` and :class:`~repro.engine.executor.ProcessExecutor`).  It
 opens one work session on a ``tels serve`` daemon, ships the prepared
-network + options + store seed once as an opaque payload, enqueues cone
-tasks, and polls the session outbox, translating worker blobs back into
+network + options + store seed once as an opaque payload, enqueues each
+wave of cone tasks in one request, and long-polls the session outbox,
+translating worker blobs back into
 :class:`~repro.engine.tasks.TaskResult` rows and broker failure rows into
-:class:`~repro.engine.resilience.TaskFailure` records.  The scheduler
+:class:`~repro.engine.resilience.TaskFailure` records.  Every collect
+acknowledges the outbox rows already processed (their highest ``seq``),
+so a collect reply lost in flight is simply returned again.  The scheduler
 cannot tell it apart from the process pool — deliberately, because all the
 retry/backoff/quarantine/degrade policy already lives there (PR 5) and an
 expired lease arrives as exactly the ``"crash"`` failure a broken pool
@@ -39,7 +42,7 @@ import time
 from repro.engine.resilience import TaskFailure
 from repro.engine.tasks import SynthTask, TaskResult
 from repro.errors import SynthesisError
-from repro.serve.broker import WorkClient, decode_blob
+from repro.serve.broker import MAX_WAIT_S, WorkClient, decode_blob
 from repro.serve.transport import (
     HttpStatusError,
     HttpTransport,
@@ -49,9 +52,6 @@ from repro.serve.transport import (
 #: Zero live workers for this long (with work outstanding and no progress)
 #: triggers the local fallback.  Module-level so tests can shrink it.
 DEFAULT_WORKER_WAIT_S = 10.0
-
-#: Outbox poll interval while remote work is outstanding.
-_POLL_S = 0.05
 
 
 class RemoteExecutor:
@@ -84,6 +84,10 @@ class RemoteExecutor:
         self._session_id: str | None = None
         #: task_id -> (task, attempt) still owed by the remote side.
         self._remote: dict[str, tuple[SynthTask, int]] = {}
+        #: Submissions of the current wave, enqueued together by wait().
+        self._unsent: list[tuple[SynthTask, int]] = []
+        #: Highest outbox seq processed; sent as the next collect's ack.
+        self._acked = 0
         self._fallback = None
         self._fallback_pending = 0
         self._use_local = False
@@ -189,31 +193,49 @@ class RemoteExecutor:
     def submit(self, task: SynthTask, attempt: int = 1) -> None:
         if self._use_local:
             self._submit_local(task, attempt)
+        else:
+            self._unsent.append((task, attempt))
+
+    def _enqueue_wave(self) -> None:
+        """Send every buffered submission in one ``enqueue`` request."""
+        wave, self._unsent = self._unsent, []
+        if not wave:
             return
-        row = {
-            "task_id": task.task_id,
-            "root": task.root,
-            "attempt": attempt,
-        }
+        rows = [
+            {"task_id": task.task_id, "root": task.root, "attempt": attempt}
+            for task, attempt in wave
+        ]
         try:
-            self._client.enqueue(self._session_id, [row])
+            self._client.enqueue(self._session_id, rows)
         except (TransportError, HttpStatusError) as exc:
             self._switch_to_local(f"daemon unreachable: {exc}")
-            self._submit_local(task, attempt)
+            for task, attempt in wave:
+                self._submit_local(task, attempt)
             return
-        self._remote[task.task_id] = (task, attempt)
+        for task, attempt in wave:
+            self._remote[task.task_id] = (task, attempt)
+
+    def _unacked(self, rows: list[dict]) -> list[dict]:
+        """Rows not processed yet (a replayed reply repeats older ones)."""
+        return [row for row in rows if int(row["seq"]) > self._acked]
 
     def _translate(
         self, payload: dict
     ) -> tuple[list[TaskResult], list[TaskFailure]]:
+        result_rows = self._unacked(payload.get("results", []))
+        failure_rows = self._unacked(payload.get("failures", []))
+        self._acked = max(
+            (int(row["seq"]) for row in result_rows + failure_rows),
+            default=self._acked,
+        )
         results: list[TaskResult] = []
         failures: list[TaskFailure] = []
-        for row in payload.get("results", []):
+        for row in result_rows:
             result: TaskResult = decode_blob(row["blob"])
             self._remote.pop(result.task_id, None)
             self.remote_results += 1
             results.append(result)
-        for row in payload.get("failures", []):
+        for row in failure_rows:
             task_id = str(row["task_id"])
             kind = str(row.get("kind", "error"))
             message = str(row.get("message", ""))
@@ -232,6 +254,7 @@ class RemoteExecutor:
         return results, failures
 
     def wait(self) -> tuple[list[TaskResult], list[TaskFailure]]:
+        self._enqueue_wave()
         while True:
             if self._fallback is not None and self._fallback_pending > 0:
                 results, failures = self._fallback.wait()
@@ -240,8 +263,14 @@ class RemoteExecutor:
                     self._strip_shared_stats(results)
                     return results, failures
             if self._remote:
+                # Long-poll, unless local results are waiting to be run.
+                local_pending = self._fallback_pending > 0
                 try:
-                    payload = self._client.collect(self._session_id)
+                    payload = self._client.collect(
+                        self._session_id,
+                        ack=self._acked,
+                        wait_s=0.0 if local_pending else MAX_WAIT_S,
+                    )
                 except (TransportError, HttpStatusError) as exc:
                     return [], self._abandon_remote(
                         f"daemon unreachable: {exc}"
@@ -270,14 +299,13 @@ class RemoteExecutor:
                         f"no live workers for {wait_s:.1f}s"
                     )
                     self._reroute_unclaimed()
-                    continue
-                time.sleep(_POLL_S)
                 continue
             if self._fallback is not None and self._fallback_pending > 0:
                 continue
             return [], []
 
     def close(self) -> None:
+        self._unsent.clear()
         if self._fallback is not None:
             self._fallback.close()
         if self._client is not None and self._session_id is not None:

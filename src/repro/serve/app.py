@@ -20,6 +20,7 @@ Routes (all JSON unless noted):
 ``PUT    /cache/{key}``      publish one solved entry into the shared tier
 ``POST   /work/sessions``    open a distribution session (opaque payload)
 ``POST   /work/claim``       worker: lease a batch of queued cone tasks
+                             (long-polls up to ``wait_s``)
 ``POST   /work/heartbeat``   worker: renew liveness + every held lease
 ``...    /work/sessions/{id}/...``  payload / tasks / results / collect /
                              withdraw / DELETE — see :mod:`repro.serve.broker`
@@ -38,6 +39,7 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import math
 import threading
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -228,7 +230,10 @@ class ServeHandler(BaseHTTPRequestHandler):
             self._send_json(
                 200,
                 broker.claim(
-                    self._worker_id(body), int(body.get("max_tasks", 4))
+                    self._worker_id(body),
+                    int(body.get("max_tasks", 4)),
+                    wait_s=self._number(body, "wait_s"),
+                    seq=body.get("seq"),
                 ),
             )
             return True
@@ -270,7 +275,15 @@ class ServeHandler(BaseHTTPRequestHandler):
                 )
                 return True
             if method == "POST" and parts[2:] == ["collect"]:
-                self._send_json(200, broker.collect(session_id))
+                body = self._read_body()
+                self._send_json(
+                    200,
+                    broker.collect(
+                        session_id,
+                        ack=int(self._number(body, "ack")),
+                        wait_s=self._number(body, "wait_s"),
+                    ),
+                )
                 return True
             if method == "POST" and parts[2:] == ["withdraw"]:
                 self._send_json(200, broker.withdraw(session_id))
@@ -282,6 +295,17 @@ class ServeHandler(BaseHTTPRequestHandler):
         from repro.serve.schemas import validate_work_id
 
         return validate_work_id(body.get("worker"), "worker")
+
+    @staticmethod
+    def _number(body: dict, name: str) -> float:
+        """A non-negative number field of a ``/work`` body (default 0)."""
+        value = body.get(name, 0)
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not number or not 0 <= value < math.inf:
+            raise ApiError(
+                400, f"{name!r} must be a non-negative number", code="bad-work"
+            )
+        return value
 
     # -- results -------------------------------------------------------
     def _send_result(self, job, fmt: str) -> None:

@@ -19,11 +19,20 @@ number of ``tels worker`` processes:
   a SIGKILLed worker is indistinguishable from a crashed pool process;
 * results are **idempotent**: the first result for a task wins, duplicate
   deliveries (client retries, the ``net-dup`` chaos site) are counted and
-  dropped.
+  dropped;
+* both hops are **at-least-once**: a worker numbers its claims and a
+  repeated ``(worker, seq)`` gets the reply already given, and the outbox
+  keeps every row (each stamped with a per-session ``seq``) until a
+  collect acknowledges it, so a lost reply loses neither a lease nor a
+  result.
 
-Expiry is swept lazily inside broker calls (claim/heartbeat/collect), so
-the daemon needs no background thread and a test can drive time through
-the injectable ``clock``.
+``claim`` and ``collect`` **long-poll**: with a ``wait_s`` they block on
+one condition variable, woken by enqueues, posted results, closes and
+lease expiries, for at most :meth:`WorkBroker.wait_bound`.  Expiry is
+swept lazily inside broker calls and on every wake-up, so the daemon
+needs no background thread, the bound caps how late a blocked collect
+notices an expired lease, and a test can drive lease time through the
+injectable ``clock``.
 """
 
 from __future__ import annotations
@@ -44,6 +53,11 @@ DEFAULT_LEASE_S = 15.0
 
 #: Cap on tasks per claim batch.
 MAX_CLAIM_TASKS = 16
+
+#: Longest a long-poll claim or collect blocks, whatever the lease: a
+#: stopping worker thread exits within this, and a worker backs off this
+#: long after a transport error.
+MAX_WAIT_S = 1.0
 
 
 def encode_blob(obj) -> str:
@@ -83,9 +97,9 @@ class WorkSession:
     leased: dict = field(default_factory=dict)  # task_id -> _LeasedTask
     results: list = field(default_factory=list)  # outbox: result rows
     failures: list = field(default_factory=list)  # outbox: failure rows
+    last_seq: int = 0  # seq of the newest outbox row
     resolved: set = field(default_factory=set)  # task_ids with a result
     failure_seen: set = field(default_factory=set)  # (task, attempt, kind)
-    closed: bool = False
 
 
 class WorkBroker:
@@ -104,8 +118,12 @@ class WorkBroker:
         )
         self._clock = clock
         self._lock = threading.RLock()
+        #: Wakes long-poll waiters: enqueue, results, close, lease expiry.
+        self._wake = threading.Condition(self._lock)
         self._sessions: dict[str, WorkSession] = {}
         self._workers: dict[str, float] = {}  # worker_id -> last_seen
+        #: worker_id -> (seq, reply) of its newest numbered claim.
+        self._claim_replies: dict[str, tuple[int, dict]] = {}
         self._seq = itertools.count(1)
         # Operator-facing counters (surface in /stats).
         self.sessions_created = 0
@@ -119,17 +137,40 @@ class WorkBroker:
     # -- internals -----------------------------------------------------
     def _get(self, session_id: str) -> WorkSession:
         session = self._sessions.get(session_id)
-        if session is None or session.closed:
+        if session is None:
             raise ApiError(
                 404, f"no such work session {session_id!r}", code="not-found"
             )
         return session
 
+    def _publish(self, session: WorkSession, box: list, row: dict) -> None:
+        """Stamp an outbox row with the session's next seq (lock held)."""
+        session.last_seq += 1
+        row["seq"] = session.last_seq
+        box.append(row)
+        self._wake.notify_all()
+
+    def wait_bound(self, wait_s: float) -> float:
+        """The server's clamp on a long-poll: ``min(lease_s / 3, 1 s)``."""
+        return max(0.0, min(float(wait_s), self.lease_s / 3.0, MAX_WAIT_S))
+
+    def _await(self, ready, wait_s: float) -> None:
+        """Block until ``ready()`` or the long-poll bound (lock held).
+
+        Every wake-up re-runs the expiry sweep before testing ``ready``.
+        The bound is real time even under an injected lease ``clock``.
+        """
+        give_up = time.monotonic() + self.wait_bound(wait_s)
+        while True:
+            self._sweep(self._clock())
+            remaining = give_up - time.monotonic()
+            if ready() or remaining <= 0:
+                return
+            self._wake.wait(remaining)
+
     def _sweep(self, now: float) -> None:
         """Expire overdue leases into ``"crash"`` failures (lock held)."""
         for session in self._sessions.values():
-            if session.closed:
-                continue
             expired = [
                 task_id
                 for task_id, lease in session.leased.items()
@@ -140,7 +181,9 @@ class WorkBroker:
                 self.lease_expirations += 1
                 if task_id in session.resolved:
                     continue  # result landed before the sweep ran
-                session.failures.append(
+                self._publish(
+                    session,
+                    session.failures,
                     {
                         "task_id": task_id,
                         "kind": "crash",
@@ -150,7 +193,7 @@ class WorkBroker:
                         ),
                         "attempt": lease.attempt,
                         "expired": True,
-                    }
+                    },
                 )
 
     def _live_workers(self, now: float) -> int:
@@ -190,22 +233,39 @@ class WorkBroker:
                         int(row.get("attempt", 1)),
                     )
                 )
+            self._wake.notify_all()
             return {"queued": len(session.queue)}
 
-    def collect(self, session_id: str) -> dict:
-        """Drain the session outbox; also reports queue/lease/worker state."""
-        now = self._clock()
+    def collect(
+        self, session_id: str, ack: int = 0, wait_s: float = 0.0
+    ) -> dict:
+        """The session's unacknowledged outbox rows, plus queue/lease/worker
+        state.
+
+        Rows up to ``ack`` (the highest ``seq`` the executor has
+        processed) are dropped; the rest stay until a later collect
+        acknowledges them, so a retried or replayed collect returns the
+        same rows.  With ``wait_s`` the call blocks while no row is left.
+        """
         with self._lock:
-            self._sweep(now)
             session = self._get(session_id)
-            results, session.results = session.results, []
-            failures, session.failures = session.failures, []
+            session.results = [r for r in session.results if r["seq"] > ack]
+            session.failures = [
+                f for f in session.failures if f["seq"] > ack
+            ]
+            self._await(
+                lambda: session.results
+                or session.failures
+                or session_id not in self._sessions,
+                wait_s,
+            )
+            self._get(session_id)  # closed while waiting: 404
             return {
-                "results": results,
-                "failures": failures,
+                "results": list(session.results),
+                "failures": list(session.failures),
                 "queued": len(session.queue),
                 "leased": len(session.leased),
-                "workers": self._live_workers(now),
+                "workers": self._live_workers(self._clock()),
             }
 
     def withdraw(self, session_id: str) -> dict:
@@ -220,13 +280,10 @@ class WorkBroker:
             return {"tasks": tasks}
 
     def close(self, session_id: str) -> dict:
+        """Forget the session; every later call on it answers 404."""
         with self._lock:
-            session = self._sessions.get(session_id)
-            if session is not None:
-                session.closed = True
-                session.queue.clear()
-                session.leased.clear()
-                session.payload = b""
+            self._sessions.pop(session_id, None)
+            self._wake.notify_all()
             return {"closed": True}
 
     # -- worker side ---------------------------------------------------
@@ -235,16 +292,49 @@ class WorkBroker:
             session = self._get(session_id)
             return session.payload, session.etag
 
-    def claim(self, worker_id: str, max_tasks: int = 4) -> dict:
-        """Lease up to ``max_tasks`` queued cones (one session per batch)."""
+    def _replay(self, worker_id: str, seq: int | None) -> dict | None:
+        """The reply already given to claim ``seq`` of this worker."""
+        last = self._claim_replies.get(worker_id)
+        if seq is None or last is None or last[0] != seq:
+            return None
+        return last[1]
+
+    def claim(
+        self,
+        worker_id: str,
+        max_tasks: int = 4,
+        wait_s: float = 0.0,
+        seq: int | None = None,
+    ) -> dict:
+        """Lease up to ``max_tasks`` queued cones (one session per batch).
+
+        With ``wait_s`` the call blocks while no session has queued work.
+        A repeated ``(worker_id, seq)`` answers with the reply it already
+        gave, so a retried or replayed claim never leases cones its worker
+        does not see.  The reply lists the ``open`` session ids, so a
+        worker can drop the state of closed ones.
+        """
         max_tasks = max(1, min(int(max_tasks), MAX_CLAIM_TASKS))
-        now = self._clock()
         with self._lock:
-            self._workers[worker_id] = now
-            self._sweep(now)
+            self._workers[worker_id] = self._clock()
+            self._await(
+                lambda: self._replay(worker_id, seq) is not None
+                or any(s.queue for s in self._sessions.values()),
+                wait_s,
+            )
+            reply = self._replay(worker_id, seq)
+            if reply is not None:
+                return reply
             self.claims += 1
+            reply = {
+                "session": None,
+                "lease_s": self.lease_s,
+                "tasks": [],
+                "open": list(self._sessions),
+            }
+            now = self._clock()
             for session in self._sessions.values():
-                if session.closed or not session.queue:
+                if not session.queue:
                     continue
                 batch = []
                 while session.queue and len(batch) < max_tasks:
@@ -259,13 +349,13 @@ class WorkBroker:
                         {"task_id": task_id, "root": root, "attempt": attempt}
                     )
                 self.claimed_tasks += len(batch)
-                return {
-                    "session": session.session_id,
-                    "etag": session.etag,
-                    "lease_s": self.lease_s,
-                    "tasks": batch,
-                }
-            return {"session": None, "lease_s": self.lease_s, "tasks": []}
+                reply.update(
+                    session=session.session_id, etag=session.etag, tasks=batch
+                )
+                break
+            if seq is not None:
+                self._claim_replies[worker_id] = (seq, reply)
+            return reply
 
     def heartbeat(self, worker_id: str) -> dict:
         """Renew the worker's liveness and every lease it holds."""
@@ -301,8 +391,10 @@ class WorkBroker:
                     duplicates += 1
                     continue
                 session.resolved.add(task_id)
-                session.results.append(
-                    {"task_id": task_id, "blob": row["blob"]}
+                self._publish(
+                    session,
+                    session.results,
+                    {"task_id": task_id, "blob": row["blob"]},
                 )
                 accepted += 1
             for row in failures:
@@ -313,14 +405,16 @@ class WorkBroker:
                     duplicates += 1
                     continue
                 session.failure_seen.add(key)
-                session.failures.append(
+                self._publish(
+                    session,
+                    session.failures,
                     {
                         "task_id": task_id,
                         "kind": str(row.get("kind", "error")),
                         "message": str(row.get("message", "")),
                         "attempt": int(row.get("attempt", 1)),
                         "expired": False,
-                    }
+                    },
                 )
                 self.failures_reported += 1
             self.results_accepted += accepted
@@ -347,20 +441,10 @@ class WorkBroker:
             }
             return {
                 "lease_s": self.lease_s,
-                "sessions": sum(
-                    1 for s in self._sessions.values() if not s.closed
-                ),
+                "sessions": len(self._sessions),
                 "sessions_created": self.sessions_created,
-                "queued": sum(
-                    len(s.queue)
-                    for s in self._sessions.values()
-                    if not s.closed
-                ),
-                "leased": sum(
-                    len(s.leased)
-                    for s in self._sessions.values()
-                    if not s.closed
-                ),
+                "queued": sum(len(s.queue) for s in self._sessions.values()),
+                "leased": sum(len(s.leased) for s in self._sessions.values()),
                 "workers": workers,
                 "live_workers": self._live_workers(now),
                 "claims": self.claims,
@@ -406,12 +490,17 @@ class WorkClient:
             "POST", f"/work/sessions/{session_id}/tasks", {"tasks": tasks}
         )
 
-    def claim(self, worker_id: str, max_tasks: int = 4) -> dict:
-        return self.transport.json(
-            "POST",
-            "/work/claim",
-            {"worker": worker_id, "max_tasks": max_tasks},
-        )
+    def claim(
+        self,
+        worker_id: str,
+        max_tasks: int = 4,
+        wait_s: float = 0.0,
+        seq: int | None = None,
+    ) -> dict:
+        body = {"worker": worker_id, "max_tasks": max_tasks, "wait_s": wait_s}
+        if seq is not None:
+            body["seq"] = seq
+        return self.transport.json("POST", "/work/claim", body)
 
     def heartbeat(self, worker_id: str) -> dict:
         return self.transport.json(
@@ -431,9 +520,13 @@ class WorkClient:
             {"worker": worker_id, "results": results, "failures": failures},
         )
 
-    def collect(self, session_id: str) -> dict:
+    def collect(
+        self, session_id: str, ack: int = 0, wait_s: float = 0.0
+    ) -> dict:
         return self.transport.json(
-            "POST", f"/work/sessions/{session_id}/collect", {}
+            "POST",
+            f"/work/sessions/{session_id}/collect",
+            {"ack": ack, "wait_s": wait_s},
         )
 
     def withdraw(self, session_id: str) -> dict:

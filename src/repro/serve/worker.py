@@ -23,12 +23,17 @@ Two deliberate differences from a pool worker:
   silent — the broker expires its leases into ``"crash"`` failures and
   the scheduler's retry ladder takes over.
 
-Results are posted per cone, not per batch, so a worker killed mid-batch
-only forfeits the cones it had not finished.
+An idle worker does not sleep between claims: each claim long-polls, so
+the broker answers it the moment a cone is enqueued.  Claims are
+numbered, which lets the broker answer a retried or replayed claim with
+the reply it already gave.  Results are posted per cone, not per batch,
+so a worker killed mid-batch only forfeits the cones it had not
+finished.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import os
 import pickle
@@ -49,7 +54,12 @@ from repro.errors import (
     SynthesisError,
     TransientError,
 )
-from repro.serve.broker import DEFAULT_LEASE_S, WorkClient, encode_blob
+from repro.serve.broker import (
+    DEFAULT_LEASE_S,
+    MAX_WAIT_S,
+    WorkClient,
+    encode_blob,
+)
 from repro.serve.transport import (
     HttpStatusError,
     HttpTransport,
@@ -84,20 +94,19 @@ class Worker:
         url: str,
         worker_id: str | None = None,
         max_tasks: int = 4,
-        poll_s: float = 0.2,
         stop: threading.Event | None = None,
         use_network_cache: bool = True,
     ):
         self.url = url.rstrip("/")
         self.worker_id = worker_id or make_worker_id()
         self.max_tasks = max_tasks
-        self.poll_s = poll_s
         self.stop = stop if stop is not None else threading.Event()
         self.use_network_cache = use_network_cache
         self.client = WorkClient(HttpTransport(self.url))
         self._sessions: dict[str, _SessionState] = {}
         self._lease_s = DEFAULT_LEASE_S
-        #: Posts that failed in flight, retried each loop turn.  Without
+        self._claim_seq = itertools.count(1)
+        #: Posts that may still succeed, retried each loop turn.  Without
         #: this a finished cone whose post kept failing would stay leased
         #: forever (the heartbeat renews it); with it, delivery is at-least
         #: -once and the broker's first-write-wins absorbs the extras.
@@ -173,26 +182,49 @@ class Worker:
             attempts=attempt,
         )
 
-    def _post(
+    def _deliver(
         self, session_id: str, results: list[dict], failures: list[dict]
-    ) -> None:
+    ) -> bool:
+        """Post once; False when a retry may still succeed.
+
+        A transport error or a 5xx answer may clear up.  A 4xx answer is
+        final (a closed session answers 404 forever): the post is dropped
+        and logged once.
+        """
         try:
             self.client.post_results(
                 session_id, self.worker_id, results, failures
             )
-        except (TransportError, HttpStatusError) as exc:
-            logger.warning("posting results failed (will retry): %s", exc)
+        except TransportError:
+            return False
+        except HttpStatusError as exc:
+            if exc.status >= 500:
+                return False
+            logger.warning(
+                "dropping results for session %s: %s", session_id, exc
+            )
+        return True
+
+    def _post(
+        self, session_id: str, results: list[dict], failures: list[dict]
+    ) -> None:
+        if not self._deliver(session_id, results, failures):
+            logger.warning(
+                "posting results for session %s failed (will retry)",
+                session_id,
+            )
             self._outbox.append((session_id, results, failures))
 
     def _flush_outbox(self) -> None:
         pending, self._outbox = self._outbox, []
-        for session_id, results, failures in pending:
-            try:
-                self.client.post_results(
-                    session_id, self.worker_id, results, failures
-                )
-            except (TransportError, HttpStatusError):
-                self._outbox.append((session_id, results, failures))
+        for post in pending:
+            if not self._deliver(*post):
+                self._outbox.append(post)
+
+    def _forget_closed(self, open_sessions) -> None:
+        """Drop the state of every session the broker no longer has open."""
+        for session_id in set(self._sessions) - set(open_sessions):
+            del self._sessions[session_id]
 
     def _handle_batch(self, session_id: str, etag: str, tasks: list[dict]):
         try:
@@ -257,26 +289,30 @@ class Worker:
             daemon=True,
         )
         heartbeat.start()
-        logger.info("worker %s polling %s", self.worker_id, self.url)
+        logger.info("worker %s claiming from %s", self.worker_id, self.url)
         try:
             while not self.stop.is_set():
                 if self._outbox:
                     self._flush_outbox()
                 try:
-                    claim = self.client.claim(self.worker_id, self.max_tasks)
+                    claim = self.client.claim(
+                        self.worker_id,
+                        self.max_tasks,
+                        wait_s=MAX_WAIT_S,
+                        seq=next(self._claim_seq),
+                    )
                 except (TransportError, HttpStatusError):
-                    self.stop.wait(self.poll_s)
+                    self.stop.wait(MAX_WAIT_S)
                     continue
                 self._lease_s = float(
                     claim.get("lease_s") or DEFAULT_LEASE_S
                 )
+                self._forget_closed(claim.get("open", ()))
                 tasks = claim.get("tasks") or []
-                if not tasks:
-                    self.stop.wait(self.poll_s)
-                    continue
-                self._handle_batch(
-                    claim["session"], claim.get("etag", ""), tasks
-                )
+                if tasks:
+                    self._handle_batch(
+                        claim["session"], claim.get("etag", ""), tasks
+                    )
         finally:
             self.stop.set()
             heartbeat.join(timeout=2.0)
@@ -287,7 +323,6 @@ def run_worker(
     url: str,
     worker_id: str | None = None,
     max_tasks: int = 4,
-    poll_s: float = 0.2,
     stop: threading.Event | None = None,
     use_network_cache: bool = True,
 ) -> int:
@@ -296,7 +331,6 @@ def run_worker(
         url,
         worker_id=worker_id,
         max_tasks=max_tasks,
-        poll_s=poll_s,
         stop=stop,
         use_network_cache=use_network_cache,
     ).run()
@@ -315,38 +349,3 @@ def start_worker_thread(
     )
     thread.start()
     return thread, stop
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Entry point of ``tels worker`` (also runnable as a module)."""
-    import argparse
-    import signal
-
-    parser = argparse.ArgumentParser(prog="tels worker")
-    parser.add_argument("--url", default=None)
-    parser.add_argument("--id", default=None, dest="worker_id")
-    parser.add_argument("--max-tasks", type=int, default=4)
-    parser.add_argument("--poll-s", type=float, default=0.2)
-    parser.add_argument("--no-network-cache", action="store_true")
-    args = parser.parse_args(argv)
-
-    from repro.serve.client import resolve_url
-
-    stop = threading.Event()
-    signal.signal(signal.SIGTERM, lambda *_: stop.set())
-    try:
-        run_worker(
-            resolve_url(args.url),
-            worker_id=args.worker_id,
-            max_tasks=args.max_tasks,
-            poll_s=args.poll_s,
-            stop=stop,
-            use_network_cache=not args.no_network_cache,
-        )
-    except KeyboardInterrupt:
-        stop.set()
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CI
-    raise SystemExit(main())
