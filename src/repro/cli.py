@@ -878,22 +878,16 @@ def _client(args: argparse.Namespace):
 
 
 def _api_options(args: argparse.Namespace) -> dict:
-    """Synthesis flags as a job-API options dict (defaults elided)."""
-    options = {
-        "psi": args.psi,
-        "delta_on": args.delta_on,
-        "delta_off": args.delta_off,
-        "seed": args.seed,
-        "backend": args.ilp_backend,
-        "gate_model": getattr(args, "gate_model", "ltg"),
-        "use_fastpath": not args.no_fastpath,
-        "lint": not getattr(args, "no_lint", False),
-        "deadline_per_cone_s": getattr(args, "deadline_per_cone", None),
-        "deadline_total_s": getattr(args, "deadline_total", None),
-        "max_attempts": getattr(args, "max_attempts", 3),
-        "strict_synthesis": getattr(args, "strict_synthesis", False),
-    }
-    return {k: v for k, v in options.items() if v is not None}
+    """The synthesis flags as a job-API options dict (None values elided).
+
+    Read off :func:`_options`, so ``tels submit`` forwards exactly what
+    ``tels synth`` would run with, restricted to the API's fields.
+    """
+    from repro.serve.schemas import OPTION_FIELDS
+
+    options = _options(args)
+    values = {name: getattr(options, name) for name in OPTION_FIELDS}
+    return {k: v for k, v in values.items() if v is not None}
 
 
 def _print_snapshot(snapshot: dict) -> None:

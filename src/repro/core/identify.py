@@ -42,17 +42,39 @@ from repro.ilp.solve import solve_ilp_info
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep core below engine
     from repro.engine.resilience import Deadline
-    from repro.engine.store import ResultStore
+    from repro.engine.store import ResultStore, StoreStats
+
+
+class Counters:
+    """Additive counter records: snapshot, delta and fold over every field.
+
+    Subclasses are dataclasses whose fields are all additive numbers, so a
+    new counter needs only its declaration to travel through the engine's
+    per-cone records and the scheduler's fold.
+    """
+
+    def snapshot(self):
+        """An independent copy."""
+        return replace(self)
+
+    def since(self, earlier):
+        """The counts accumulated after ``earlier`` was snapshotted."""
+        return type(self)(
+            **{
+                f.name: getattr(self, f.name) - getattr(earlier, f.name)
+                for f in fields(self)
+            }
+        )
+
+    def add(self, other) -> None:
+        """Fold another record (one cone's counts) into this one."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 @dataclass
-class CheckStats:
-    """Counters for instrumentation and the ILP ablation benchmarks.
-
-    All fields are additive numbers, so deltas (:meth:`since`) and folds
-    (:meth:`add`) are derived generically — a new counter only needs a field
-    declaration here to travel through the engine's per-task journaling.
-    """
+class CheckStats(Counters):
+    """Counters for instrumentation and the ILP ablation benchmarks."""
 
     calls: int = 0
     cache_hits: int = 0
@@ -89,24 +111,6 @@ class CheckStats:
             return 0.0
         return (self.fastpath_hits + self.fastpath_negatives) / attempts
 
-    def snapshot(self) -> "CheckStats":
-        """An independent copy (for before/after deltas in the engine)."""
-        return replace(self)
-
-    def since(self, before: "CheckStats") -> "CheckStats":
-        """The counter delta accumulated since ``before`` was snapshotted."""
-        return CheckStats(
-            **{
-                f.name: getattr(self, f.name) - getattr(before, f.name)
-                for f in fields(self)
-            }
-        )
-
-    def add(self, delta: "CheckStats") -> None:
-        """Fold another stats record (e.g. a worker's delta) into this one."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(delta, f.name))
-
 
 @dataclass
 class ThresholdChecker:
@@ -142,6 +146,10 @@ class ThresholdChecker:
             remaining time is forwarded to the solver stack as its
             wall-clock limit, so one slow ILP cannot blow through a
             per-cone budget unnoticed.
+        store_stats: where this checker's store lookups are counted; None
+            counts them in ``store.stats``.  An engine cone passes its own
+            record, so a store shared by concurrent runs cannot leak one
+            run's lookups into another's counts.
     """
 
     delta_on: int = 0
@@ -154,6 +162,7 @@ class ThresholdChecker:
     stats: CheckStats = field(default_factory=CheckStats)
     store: "ResultStore | None" = field(default=None, repr=False)
     deadline: "Deadline | None" = field(default=None, repr=False)
+    store_stats: "StoreStats | None" = field(default=None, repr=False)
     _model: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -213,7 +222,7 @@ class ThresholdChecker:
         key = model.store_key(
             canonical, self.delta_on, self.delta_off, self.max_weight
         )
-        found = store.get_vector(key)
+        found = store.get_vector(key, self.store_stats)
         if not store.is_miss(found):
             self.stats.cache_hits += 1
             return found
@@ -258,7 +267,7 @@ class ThresholdChecker:
 
         store = self._ensure_store()
         key = (canonical, self.minimize_cover)
-        found = store.get_analysis(key)
+        found = store.get_analysis(key, self.store_stats)
         if not store.is_miss(found):
             return found
         if self.minimize_cover and cover.nvars <= 12:

@@ -150,13 +150,21 @@ class SynthesisOptions:
             )
 
 
+def _trace_total(name: str) -> property:
+    """A read-only report counter: the sum over the trace's cone records."""
+    return property(
+        lambda self: self.trace.total(name) if self.trace is not None else 0
+    )
+
+
 @dataclass
 class SynthesisReport:
     """Bookkeeping of one synthesis run.
 
     ``trace`` carries the engine's per-task instrumentation (collapse /
     check / split timings, cache activity) when the run came through the
-    pass-based engine — always, since the façade delegates to it.
+    pass-based engine — always, since the façade delegates to it.  The
+    counters below and ``degraded`` are read-only views of it.
     ``lint`` is the static post-pass report over the assembled network
     (None when ``options.lint`` is off).  ``degraded`` lists every cone the
     resilience layer completed with the one-to-one fallback mapping (and
@@ -164,19 +172,26 @@ class SynthesisReport:
     only those cones' area optimality is lost.
     """
 
-    nodes_processed: int = 0
-    gates_emitted: int = 0
-    binate_splits: int = 0
-    unate_splits: int = 0
-    kway_splits: int = 0
-    theorem2_applications: int = 0
-    and_factor_splits: int = 0
     checker: ThresholdChecker | None = None
     trace: "EngineTrace | None" = None
     lint: "LintReport | None" = None
     analysis: "AnalysisResult | None" = None
-    degraded_cones: int = 0
-    degraded: "tuple[DegradedCone, ...]" = ()
+
+    nodes_processed = _trace_total("nodes_processed")
+    gates_emitted = _trace_total("gates_emitted")
+    binate_splits = _trace_total("binate_splits")
+    unate_splits = _trace_total("unate_splits")
+    kway_splits = _trace_total("kway_splits")
+    theorem2_applications = _trace_total("theorem2_applications")
+    and_factor_splits = _trace_total("and_factor_splits")
+
+    @property
+    def degraded(self) -> "tuple[DegradedCone, ...]":
+        return tuple(self.trace.degraded) if self.trace is not None else ()
+
+    @property
+    def degraded_cones(self) -> int:
+        return len(self.degraded)
 
 
 def synthesize(

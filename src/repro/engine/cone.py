@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 
 from repro.boolean.cover import Cover
 from repro.boolean.cube import Cube
 from repro.boolean.function import BooleanFunction
 from repro.boolean.unate import syntactic_unateness
 from repro.core.collapse import collapse_node
-from repro.core.identify import CheckStats, ThresholdChecker
+from repro.core.identify import ThresholdChecker
 from repro.core.splitting import UnateSplit, split_binate, split_k_way
 from repro.core.theorems import theorem2_extend
 from repro.core.threshold import (
@@ -34,7 +33,7 @@ from repro.core.threshold import (
     WeightThresholdVector,
 )
 from repro.engine.events import TaskMetrics, timed
-from repro.engine.store import StoreStats
+from repro.engine.tasks import TaskResult
 from repro.errors import SynthesisError
 from repro.network.network import BooleanNetwork
 
@@ -42,17 +41,6 @@ from repro.network.network import BooleanNetwork
 def task_rng(seed: int, task_id: str) -> random.Random:
     """The task's private RNG stream (deterministic across processes)."""
     return random.Random(f"{seed}:{task_id}")
-
-
-@dataclass
-class ConeOutcome:
-    """What one cone run produced (pre-TaskResult, executor-agnostic)."""
-
-    gates: tuple[ThresholdGate, ...]
-    discovered: tuple[str, ...]
-    metrics: TaskMetrics
-    stats_delta: CheckStats
-    store_stats_delta: "StoreStats | None" = None
 
 
 class ConeSynthesizer:
@@ -76,9 +64,11 @@ class ConeSynthesizer:
         # split parts are added, so the source stays pristine for siblings.
         self.work = source.copy()
         self.rng = task_rng(options.seed, root)
-        self.checker = checker
         self.preserved = preserved
         self.metrics = TaskMetrics(task_id=root)
+        # The cone's own view of the checker: the deadline is this cone's,
+        # and its checks and store lookups count into this cone's record.
+        self.checker = self.metrics.counting(checker, deadline)
         self.gates: list[ThresholdGate] = []
         self.pending: list[str] = []
         self.done: set[str] = set()
@@ -92,22 +82,8 @@ class ConeSynthesizer:
         )
 
     # ------------------------------------------------------------------
-    def run(self) -> ConeOutcome:
-        # The checker is shared (serially) or task-private (in a worker);
-        # either way its deadline is scoped to this cone run and restored
-        # afterwards, so one cone's budget never leaks into the next.
-        saved_deadline = self.checker.deadline
-        self.checker.deadline = self.deadline
-        try:
-            return self._run()
-        finally:
-            self.checker.deadline = saved_deadline
-
-    def _run(self) -> ConeOutcome:
+    def run(self) -> TaskResult:
         run_started = time.perf_counter()
-        stats_before = self.checker.stats.snapshot()
-        store = self.checker.store
-        store_before = store.stats.snapshot() if store is not None else None
         budget = 1000 * (self.work.num_nodes + 10)
         self.pending.append(self.root)
         while self.pending:
@@ -133,32 +109,13 @@ class ConeSynthesizer:
                     max_cubes=self.options.max_collapse_cubes,
                 )
             self._process(name, function)
-        delta = self.checker.stats.since(stats_before)
         self.metrics.wall_s = time.perf_counter() - run_started
-        self.metrics.checker_calls = delta.calls
-        self.metrics.checker_cache_hits = delta.cache_hits
-        self.metrics.multithreshold_hits = delta.multithreshold_hits
-        self.metrics.flash_requantized = delta.flash_requantized
-        self.metrics.ilp_solved = delta.ilp_solved
-        self.metrics.constraints_emitted = delta.constraints_emitted
-        self.metrics.fastpath_hits = delta.fastpath_hits
-        self.metrics.fastpath_negatives = delta.fastpath_negatives
-        self.metrics.fastpath_misses = delta.fastpath_misses
-        self.metrics.exact_solves = delta.exact_solves
-        self.metrics.scipy_solves = delta.scipy_solves
-        self.metrics.solver_timeouts = delta.solver_timeouts
-        store_delta: StoreStats | None = None
-        if store_before is not None and self.checker.store is not None:
-            store_delta = self.checker.store.stats.since(store_before)
-            self.metrics.persistent_hits = store_delta.persistent_hits
-            self.metrics.persistent_misses = store_delta.persistent_misses
-            self.metrics.transformed_hits = store_delta.transformed_hits
-        return ConeOutcome(
+        return TaskResult(
+            task_id=self.root,
             gates=tuple(self.gates),
             discovered=tuple(self._discovered),
             metrics=self.metrics,
-            stats_delta=delta,
-            store_stats_delta=store_delta,
+            store_delta=self.checker.store.take_journal(),
         )
 
     # ------------------------------------------------------------------

@@ -1,19 +1,32 @@
 """Engine instrumentation: structured per-task events and run traces.
 
-Every cone task reports a :class:`TaskMetrics` record — wall time split into
-the three passes of the Fig. 3 flow (collapse / check / split), the node and
-gate counters, and the checker activity it caused.  The scheduler folds the
-records into an :class:`EngineTrace`, which the CLI summary, the extended
-suite, and ``experiments/report.py`` consume.  Fine-grained
-:class:`TaskEvent` rows (one per pass per task) are derived on demand for
-structured consumers.
+Every cone task reports one :class:`TaskMetrics` record: wall time split
+into the three passes of the Fig. 3 flow (collapse / check / split), the
+node, gate and split counters, and the cone's own
+:class:`~repro.core.identify.CheckStats` and
+:class:`~repro.engine.store.StoreStats`, which its checker counted into
+directly.  The scheduler registers each finished cone's record in an
+:class:`EngineTrace` and folds its two counter records into the run's
+``checker.stats`` and ``store.stats`` once, the same way on every
+backend; a failed attempt's record is never registered.  The report
+counters, the CLI summary, the ``phase`` events and the daemon's result
+payload are all read from these records.  Fine-grained :class:`TaskEvent`
+rows (one per pass per task) are derived on demand for structured
+consumers.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from collections.abc import Iterator
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
+
+from repro.core.identify import CheckStats
+from repro.engine.store import StoreStats
+
+if TYPE_CHECKING:
+    from repro.engine.resilience import DegradedCone
 
 
 @dataclass(frozen=True)
@@ -42,28 +55,27 @@ class TaskMetrics:
     kway_splits: int = 0
     and_factor_splits: int = 0
     theorem2_applications: int = 0
-    checker_calls: int = 0
-    checker_cache_hits: int = 0
-    multithreshold_hits: int = 0
-    flash_requantized: int = 0
-    ilp_solved: int = 0
-    constraints_emitted: int = 0
-    fastpath_hits: int = 0
-    fastpath_negatives: int = 0
-    fastpath_misses: int = 0
-    exact_solves: int = 0
-    scipy_solves: int = 0
-    persistent_hits: int = 0
-    persistent_misses: int = 0
-    transformed_hits: int = 0
-    solver_timeouts: int = 0
+    #: This cone's threshold checks and store lookups, counted as they ran.
+    check_stats: CheckStats = field(default_factory=CheckStats)
+    store_stats: StoreStats = field(default_factory=StoreStats)
     #: Executor submissions this cone consumed (retries inflate this).
     attempts: int = 1
     #: True when the cone fell back to the one-to-one mapping.
     degraded: bool = False
 
+    def counting(self, checker, deadline=None):
+        """``checker`` for this cone: same settings and store, counting its
+        checks and store lookups into this record."""
+        return replace(
+            checker,
+            stats=self.check_stats,
+            store_stats=self.store_stats,
+            deadline=deadline,
+        )
+
     def events(self) -> Iterator[TaskEvent]:
         """Expand this record into structured per-phase events."""
+        check, store = self.check_stats, self.store_stats
         yield TaskEvent(
             self.task_id,
             "collapse",
@@ -75,20 +87,20 @@ class TaskMetrics:
             "check",
             self.check_s,
             {
-                "calls": self.checker_calls,
-                "cache_hits": self.checker_cache_hits,
-                "multithreshold_hits": self.multithreshold_hits,
-                "flash_requantized": self.flash_requantized,
-                "ilp_solved": self.ilp_solved,
-                "constraints": self.constraints_emitted,
-                "fastpath_hits": self.fastpath_hits,
-                "fastpath_negatives": self.fastpath_negatives,
-                "fastpath_misses": self.fastpath_misses,
-                "exact_solves": self.exact_solves,
-                "scipy_solves": self.scipy_solves,
-                "persistent_hits": self.persistent_hits,
-                "persistent_misses": self.persistent_misses,
-                "transformed_hits": self.transformed_hits,
+                "calls": check.calls,
+                "cache_hits": check.cache_hits,
+                "multithreshold_hits": check.multithreshold_hits,
+                "flash_requantized": check.flash_requantized,
+                "ilp_solved": check.ilp_solved,
+                "constraints": check.constraints_emitted,
+                "fastpath_hits": check.fastpath_hits,
+                "fastpath_negatives": check.fastpath_negatives,
+                "fastpath_misses": check.fastpath_misses,
+                "exact_solves": check.exact_solves,
+                "scipy_solves": check.scipy_solves,
+                "persistent_hits": store.persistent_hits,
+                "persistent_misses": store.persistent_misses,
+                "transformed_hits": store.transformed_hits,
             },
         )
         yield TaskEvent(
@@ -170,7 +182,7 @@ class EngineTrace:
     #: Task ids quarantined as poison after repeated worker crashes.
     quarantined: list[str] = field(default_factory=list)
     #: ``(task_id, reason)`` per cone that fell back to one-to-one mapping.
-    degraded: list[tuple[str, str]] = field(default_factory=list)
+    degraded: "list[DegradedCone]" = field(default_factory=list)
 
     def add(self, metrics: TaskMetrics) -> None:
         self.tasks.append(metrics)
@@ -186,6 +198,14 @@ class EngineTrace:
     def total(self, attr: str) -> float:
         return sum(getattr(m, attr) for m in self.tasks)
 
+    def folded(self) -> tuple[CheckStats, StoreStats]:
+        """The check and store records of every registered cone, summed."""
+        check, store = CheckStats(), StoreStats()
+        for metrics in self.tasks:
+            check.add(metrics.check_stats)
+            store.add(metrics.store_stats)
+        return check, store
+
     def slowest(self, n: int = 3) -> list[TaskMetrics]:
         return sorted(self.tasks, key=lambda m: -m.wall_s)[:n]
 
@@ -200,11 +220,12 @@ class EngineTrace:
             f"check {self.total('check_s'):.3f}s  "
             f"split {self.total('split_s'):.3f}s",
         ]
-        if self.total("multithreshold_hits") or self.total("flash_requantized"):
+        check, _store = self.folded()
+        if check.multithreshold_hits or check.flash_requantized:
             lines.append(
                 f"gate model: "
-                f"{int(self.total('multithreshold_hits'))} multi-threshold "
-                f"absorptions, {int(self.total('flash_requantized'))} flash "
+                f"{check.multithreshold_hits} multi-threshold "
+                f"absorptions, {check.flash_requantized} flash "
                 f"re-quantizations"
             )
         if (

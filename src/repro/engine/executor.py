@@ -7,9 +7,11 @@ options, because every cone runs under its own
 ``random.Random("{seed}:{task_id}")`` stream and reads only the immutable
 source network.
 
+Every backend runs a cone the same way, through a :class:`ConeRunner`
+(deadline → :class:`~repro.engine.cone.ConeSynthesizer` → ``TaskResult``).
 The process backend ships the source network, options, and a snapshot of
 the shared result store to each worker once (pool initializer); workers keep
-a long-lived checker whose store journals new entries, and every
+a long-lived runner whose store journals new entries, and every
 :class:`TaskResult` carries the journal back for the scheduler to merge into
 the master store.
 
@@ -41,6 +43,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 
 from repro.core.identify import ThresholdChecker
 from repro.engine.cone import ConeSynthesizer
@@ -62,8 +65,60 @@ def resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
+@dataclass
+class ConeRunner:
+    """Runs cones against one network: deadline → run → ``TaskResult``.
+
+    The serial backend runs on the caller's checker and store; a pool or
+    remote worker's runner (:meth:`for_worker`) owns a private journaling
+    store and arms the chaos ``worker`` fault hook.
+    """
+
+    network: BooleanNetwork
+    options: object  # repro.core.synthesis.SynthesisOptions
+    preserved: frozenset[str]
+    checker: ThresholdChecker
+    deadline_per_cone_s: float | None = None
+    chaos: bool = False
+
+    @classmethod
+    def for_worker(
+        cls,
+        network: BooleanNetwork,
+        options,
+        preserved: frozenset[str],
+        store_seed: StoreDelta,
+        persistent=None,
+    ) -> "ConeRunner":
+        store = ResultStore(persistent=persistent)
+        store.merge(store_seed)
+        store.begin_journal()
+        return cls(
+            network,
+            options,
+            preserved,
+            ThresholdChecker.from_options(options, store=store),
+            ResiliencePolicy.from_options(options).deadline_per_cone_s,
+            chaos=True,
+        )
+
+    def run(self, root: str, attempt: int = 1) -> TaskResult:
+        hook = _worker_fault_hook(root, attempt) if self.chaos else None
+        result = ConeSynthesizer(
+            self.network,
+            root,
+            self.options,
+            self.checker,
+            self.preserved,
+            deadline=Deadline.after(self.deadline_per_cone_s),
+            fault_hook=hook,
+        ).run()
+        result.metrics.attempts = attempt
+        return result
+
+
 class SerialExecutor:
-    """Run cones inline, sharing one checker (and its store) with the caller."""
+    """Run cones inline on the caller's checker settings and store."""
 
     backend_name = "serial"
 
@@ -75,11 +130,13 @@ class SerialExecutor:
         checker: ThresholdChecker,
         policy: ResiliencePolicy | None = None,
     ):
-        self._network = network
-        self._options = options
-        self._preserved = preserved
-        self._checker = checker
-        self._policy = policy or ResiliencePolicy()
+        self._runner = ConeRunner(
+            network,
+            options,
+            preserved,
+            checker,
+            (policy or ResiliencePolicy()).deadline_per_cone_s,
+        )
         self._queue: list[tuple[SynthTask, int]] = []
 
     def submit(self, task: SynthTask, attempt: int = 1) -> None:
@@ -87,69 +144,33 @@ class SerialExecutor:
 
     def wait(self) -> tuple[list[TaskResult], list[TaskFailure]]:
         task, attempt = self._queue.pop(0)
-        deadline = Deadline.after(self._policy.deadline_per_cone_s)
         try:
-            outcome = ConeSynthesizer(
-                self._network, task.root, self._options, self._checker,
-                self._preserved, deadline=deadline,
-            ).run()
+            return [self._runner.run(task.root, attempt)], []
         except DeadlineExceeded as exc:
             return [], [
                 TaskFailure(task.task_id, "timeout", str(exc), attempt)
             ]
         except TransientError as exc:
             return [], [TaskFailure(task.task_id, "error", str(exc), attempt)]
-        outcome.metrics.attempts = attempt
-        return [
-            TaskResult(
-                task_id=task.task_id,
-                gates=outcome.gates,
-                discovered=outcome.discovered,
-                metrics=outcome.metrics,
-                stats_delta=outcome.stats_delta,
-                store_delta=None,
-                store_stats_delta=outcome.store_stats_delta,
-                attempts=attempt,
-            )
-        ], []
 
     def close(self) -> None:
         self._queue.clear()
 
 
 # ----------------------------------------------------------------------
-# Process-pool backend.  Worker state lives in module globals, installed
+# Process-pool backend.  Worker state lives in a module global, installed
 # once per process by the pool initializer; tasks then travel as bare root
 # names, keeping per-task IPC to a few hundred bytes each way.
 # ----------------------------------------------------------------------
-_WORKER: dict | None = None
+_WORKER: ConeRunner | None = None
 
 
-def _worker_init(
-    network: BooleanNetwork,
-    options,
-    preserved: frozenset[str],
-    store_seed: StoreDelta,
-    persistent=None,
-) -> None:
+def _worker_init(*args) -> None:
     global _WORKER
     # The persistent cache pickles as a read-only snapshot: workers get its
     # lookups but journal new solves through the StoreDelta path, which the
     # scheduler commits to disk on the parent side.
-    store = ResultStore(persistent=persistent)
-    store.merge(store_seed)
-    store.begin_journal()
-    checker = ThresholdChecker.from_options(options, store=store)
-    _WORKER = {
-        "network": network,
-        "options": options,
-        "preserved": preserved,
-        "checker": checker,
-        "store": store,
-        "deadline_per_cone_s": ResiliencePolicy.from_options(
-            options
-        ).deadline_per_cone_s,
-    }
+    _WORKER = ConeRunner.for_worker(*args)
 
 
 def _worker_fault_hook(task_id: str, attempt: int):
@@ -191,29 +212,9 @@ def _worker_fault_hook(task_id: str, attempt: int):
     return None
 
 
-def _worker_run(task_id: str, root: str, attempt: int = 1) -> TaskResult:
+def _worker_run(root: str, attempt: int = 1) -> TaskResult:
     assert _WORKER is not None, "worker pool not initialized"
-    deadline = Deadline.after(_WORKER["deadline_per_cone_s"])
-    outcome = ConeSynthesizer(
-        _WORKER["network"],
-        root,
-        _WORKER["options"],
-        _WORKER["checker"],
-        _WORKER["preserved"],
-        deadline=deadline,
-        fault_hook=_worker_fault_hook(task_id, attempt),
-    ).run()
-    outcome.metrics.attempts = attempt
-    return TaskResult(
-        task_id=task_id,
-        gates=outcome.gates,
-        discovered=outcome.discovered,
-        metrics=outcome.metrics,
-        stats_delta=outcome.stats_delta,
-        store_delta=_WORKER["store"].take_journal(),
-        store_stats_delta=outcome.store_stats_delta,
-        attempts=attempt,
-    )
+    return _WORKER.run(root, attempt)
 
 
 class ProcessExecutor:
@@ -268,15 +269,11 @@ class ProcessExecutor:
         # blamed (same as the wait()-side path), the pool is rebuilt, and
         # this task retries on the fresh pool.
         try:
-            future = self._pool.submit(
-                _worker_run, task.task_id, task.root, attempt
-            )
+            future = self._pool.submit(_worker_run, task.root, attempt)
         except BrokenProcessPool:
             self._pending.extend(self._evict_all(kind="crash"))
             self._rebuild()
-            future = self._pool.submit(
-                _worker_run, task.task_id, task.root, attempt
-            )
+            future = self._pool.submit(_worker_run, task.root, attempt)
         self._inflight[future] = (task, attempt, time.monotonic())
 
     def wait(self) -> tuple[list[TaskResult], list[TaskFailure]]:

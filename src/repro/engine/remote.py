@@ -172,23 +172,6 @@ class RemoteExecutor:
         self._fallback_pending += 1
         self.fallback_tasks += 1
 
-    def _strip_shared_stats(self, results: list[TaskResult]) -> None:
-        """Zero stat deltas of cones a *serial* fallback ran.
-
-        The serial executor shares the master checker and store, so its
-        counts are already in place; the scheduler folds deltas for every
-        non-serial backend, and this run reports as ``remote``.
-        """
-        from repro.engine.executor import SerialExecutor
-
-        if not isinstance(self._fallback, SerialExecutor):
-            return
-        from repro.core.identify import CheckStats
-
-        for result in results:
-            result.stats_delta = CheckStats()
-            result.store_stats_delta = None
-
     # -- executor surface ----------------------------------------------
     def submit(self, task: SynthTask, attempt: int = 1) -> None:
         if self._use_local:
@@ -260,7 +243,6 @@ class RemoteExecutor:
                 results, failures = self._fallback.wait()
                 self._fallback_pending -= len(results) + len(failures)
                 if results or failures:
-                    self._strip_shared_stats(results)
                     return results, failures
             if self._remote:
                 # Long-poll, unless local results are waiting to be run.

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.identify import ThresholdChecker
 from repro.core.mapping import one_to_one_map
@@ -88,14 +89,11 @@ class TaskFailure:
     attempt: int = 1
 
 
-@dataclass(frozen=True)
-class DegradedCone:
+class DegradedCone(NamedTuple):
     """One cone that fell back to the one-to-one mapping, and why."""
 
     task_id: str
     reason: str
-    attempts: int
-    detail: str = ""
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,7 @@ def run_synthesis(
     """
     from repro.core.synthesis import SynthesisOptions, SynthesisReport
 
+    started = time.perf_counter()
     options = options or SynthesisOptions()
     jobs = resolve_jobs(jobs)
     if store is None:
@@ -118,7 +119,6 @@ def run_synthesis(
     # loudly, not lie dormant until (or unless) an injection site fires.
     get_injector()
 
-    started = time.perf_counter()
     executor = make_executor(
         jobs, network, options, preserved, store, checker, policy,
         distribute=distribute,
@@ -131,7 +131,6 @@ def run_synthesis(
     tasks: dict[str, SynthTask] = {}
     results: dict[str, TaskResult] = {}
     crashes: dict[str, int] = {}
-    degraded_records: list[DegradedCone] = []
     listener = on_event
 
     def _emit(payload: dict) -> None:
@@ -145,8 +144,13 @@ def run_synthesis(
 
     def _register(result: TaskResult, submit_new: bool = True) -> None:
         results[result.task_id] = result
-        trace.add(result.metrics)
-        for event in result.metrics.events():
+        metrics = result.metrics
+        trace.add(metrics)
+        # The run's one fold: every registered cone's records, once, on
+        # every backend.  A failed attempt is never registered.
+        checker.stats.add(metrics.check_stats)
+        store.fold_stats(metrics.store_stats)
+        for event in metrics.events():
             _emit(
                 {
                     "event": "phase",
@@ -160,8 +164,8 @@ def run_synthesis(
             {
                 "event": "task-done",
                 "task_id": result.task_id,
-                "gates": result.metrics.gates_emitted,
-                "degraded": result.metrics.degraded,
+                "gates": metrics.gates_emitted,
+                "degraded": metrics.degraded,
                 "completed": len(results),
                 "scheduled": len(tasks),
             }
@@ -189,29 +193,19 @@ def run_synthesis(
                 + (f": {detail}" if detail else "")
                 + ") and strict synthesis forbids degradation"
             )
+        metrics = TaskMetrics(task_id, attempts=attempts, degraded=True)
         gates, discovered = fallback_cone_gates(
-            network, tasks[task_id].root, preserved, options, checker=checker
+            network,
+            tasks[task_id].root,
+            preserved,
+            options,
+            checker=metrics.counting(checker),
         )
-        metrics = TaskMetrics(
-            task_id=task_id,
-            gates_emitted=len(gates),
-            attempts=attempts,
-            degraded=True,
-        )
-        degraded_records.append(
-            DegradedCone(task_id, reason, attempts, detail)
-        )
-        trace.degraded.append((task_id, reason))
+        metrics.gates_emitted = len(gates)
+        trace.degraded.append(DegradedCone(task_id, reason))
         _emit({"event": "task-degraded", "task_id": task_id, "reason": reason})
         _register(
-            TaskResult(
-                task_id=task_id,
-                gates=gates,
-                discovered=discovered,
-                metrics=metrics,
-                degraded=True,
-                attempts=attempts,
-            ),
+            TaskResult(task_id, gates, discovered, metrics),
             submit_new=submit_new,
         )
 
@@ -293,7 +287,6 @@ def run_synthesis(
         raise
     finally:
         executor.close()
-    trace.wall_s = time.perf_counter() - started
     trace.pool_rebuilds = getattr(executor, "rebuilds", 0)
     trace.watchdog_kills = getattr(executor, "watchdog_kills", 0)
     trace.lease_expirations = getattr(executor, "lease_expirations", 0)
@@ -303,9 +296,7 @@ def run_synthesis(
     store.flush_persistent()
 
     result_net = _assemble(network, initial, results)
-    report = _build_report(options, checker, trace, results, store)
-    report.degraded_cones = len(degraded_records)
-    report.degraded = tuple(degraded_records)
+    report = SynthesisReport(checker=checker, trace=trace)
     if getattr(options, "lint", True):
         # The run's one lint pass, over the assembled network after
         # cleanup(): structural and gate-local rules alike, on exactly the
@@ -341,6 +332,7 @@ def run_synthesis(
         trace.network_analysis_s = analysis.wall_s
         trace.analysis_removals = len(analysis.verified_findings)
         trace.analysis_min_slack = analysis.certificate.min_slack
+    trace.wall_s = time.perf_counter() - started
     return EngineResult(
         network=result_net, report=report, trace=trace, store=store
     )
@@ -373,35 +365,3 @@ def _assemble(
     result_net.cleanup()
     result_net.check()
     return result_net
-
-
-def _build_report(
-    options,
-    checker: ThresholdChecker,
-    trace: EngineTrace,
-    results: dict[str, TaskResult],
-    store: ResultStore,
-):
-    """Aggregate per-task metrics into the façade's SynthesisReport."""
-    from repro.core.synthesis import SynthesisReport
-
-    report = SynthesisReport(checker=checker, trace=trace)
-    for result in results.values():
-        m = result.metrics
-        report.nodes_processed += m.nodes_processed
-        report.gates_emitted += m.gates_emitted
-        report.binate_splits += m.binate_splits
-        report.unate_splits += m.unate_splits
-        report.kway_splits += m.kway_splits
-        report.theorem2_applications += m.theorem2_applications
-        report.and_factor_splits += m.and_factor_splits
-    if trace.backend != "serial":
-        # Worker checkers did the work; fold their per-task stat deltas into
-        # the parent checker (and store) so report.checker.stats and
-        # store.stats read the same either way.  Serial runs share the
-        # master store, so their counts are already in place.
-        for result in results.values():
-            checker.stats.add(result.stats_delta)
-            if result.store_stats_delta is not None:
-                store.stats.add(result.store_stats_delta)
-    return report

@@ -29,9 +29,10 @@ persistent journal; :meth:`ResultStore.flush_persistent` writes it out.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 from repro.boolean.cover import Cover
+from repro.core.identify import Counters
 from repro.core.threshold import GateVector
 
 _MISSING = object()
@@ -54,13 +55,11 @@ class CoverAnalysis:
 
 
 @dataclass
-class StoreStats:
+class StoreStats(Counters):
     """Hit/miss counters, per tier.
 
-    All fields are additive counters, so :meth:`snapshot`, :meth:`since`,
-    and :meth:`add` are derived generically over the dataclass fields — a
-    new counter only needs a declaration here to travel through per-task
-    deltas and process-pool merges without double counting.
+    A lookup counts into the record its caller passes (an engine cone's
+    own) or, by default, into :attr:`ResultStore.stats`.
 
     Vector-tier semantics: ``vector_hits`` counts every *served* lookup
     (whichever tier answered); the ``persistent_*`` counters break out the
@@ -110,24 +109,6 @@ class StoreStats:
     def hits(self) -> int:
         return self.vector_hits + self.analysis_hits
 
-    def snapshot(self) -> "StoreStats":
-        """An independent copy (for before/after deltas)."""
-        return replace(self)
-
-    def since(self, earlier: "StoreStats") -> "StoreStats":
-        """Counter deltas accumulated after ``earlier`` was snapshotted."""
-        return StoreStats(
-            **{
-                f.name: getattr(self, f.name) - getattr(earlier, f.name)
-                for f in fields(self)
-            }
-        )
-
-    def add(self, delta: "StoreStats") -> None:
-        """Fold another stats record (e.g. a worker's delta) into this one."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(delta, f.name))
-
 
 @dataclass
 class StoreDelta:
@@ -170,22 +151,26 @@ class ResultStore:
         return cls(persistent=open_cache(cache_dir))
 
     # -- vector tier ---------------------------------------------------
-    def get_vector(self, key: tuple):
-        """Cached vector for a (cover, deltas) key, or the miss sentinel."""
+    def get_vector(self, key: tuple, stats: StoreStats | None = None):
+        """Cached vector for a (cover, deltas) key, or the miss sentinel.
+
+        The lookup is counted in ``stats`` (default: :attr:`stats`).
+        """
+        stats = self.stats if stats is None else stats
         found = self._vectors.get(key, _MISSING)
         if found is not _MISSING:
-            self.stats.vector_hits += 1
+            stats.vector_hits += 1
             return found
         if self.persistent is not None:
             with self._lock:
-                found = self._persistent_lookup(key)
+                found = self._persistent_lookup(key, stats)
                 if found is not _MISSING:
-                    self.stats.vector_hits += 1
+                    stats.vector_hits += 1
                     self._vectors[key] = found
                     if self._journal is not None:
                         self._journal.vectors[key] = found
                     return found
-        self.stats.vector_misses += 1
+        stats.vector_misses += 1
         return _MISSING
 
     def put_vector(self, key: tuple, vector: GateVector | None) -> None:
@@ -245,7 +230,7 @@ class ResultStore:
 
         return model_for_fingerprint(fingerprint)
 
-    def _persistent_lookup(self, key: tuple):
+    def _persistent_lookup(self, key: tuple, stats: StoreStats):
         from repro.cache.store import ABSENT, entry_key, signature_string
 
         parts = self._split_key(key)
@@ -264,15 +249,15 @@ class ResultStore:
         )
         values = self.persistent.get(skey)
         if values is ABSENT:
-            self.stats.persistent_misses += 1
+            stats.persistent_misses += 1
             return _MISSING
         if values is None:
             # A cached non-realizable verdict: NP-invariant, nothing to map.
-            self.stats.persistent_hits += 1
+            stats.persistent_hits += 1
             return None
         model = self._model_for(fingerprint)
         if model is None:
-            self.stats.persistent_misses += 1
+            stats.persistent_misses += 1
             return _MISSING
         vector = model.decode_canonical(values, canonical.transform)
         # Never trust a transformed (or on-disk) gate unverified: check it
@@ -280,12 +265,12 @@ class ResultStore:
         if vector is None or not model.verify_vector(
             cover_key, vector, delta_on, delta_off
         ):
-            self.stats.transform_rejects += 1
-            self.stats.persistent_misses += 1
+            stats.transform_rejects += 1
+            stats.persistent_misses += 1
             return _MISSING
-        self.stats.persistent_hits += 1
+        stats.persistent_hits += 1
         if not canonical.transform.is_identity:
-            self.stats.transformed_hits += 1
+            stats.transformed_hits += 1
         return vector
 
     def _persistent_put(self, key: tuple, vector) -> None:
@@ -325,12 +310,13 @@ class ResultStore:
         return self.persistent.flush()
 
     # -- analysis tier -------------------------------------------------
-    def get_analysis(self, key: tuple):
+    def get_analysis(self, key: tuple, stats: StoreStats | None = None):
+        stats = self.stats if stats is None else stats
         found = self._analyses.get(key, _MISSING)
         if found is _MISSING:
-            self.stats.analysis_misses += 1
+            stats.analysis_misses += 1
         else:
-            self.stats.analysis_hits += 1
+            stats.analysis_hits += 1
         return found
 
     def put_analysis(self, key: tuple, analysis: CoverAnalysis | None) -> None:
@@ -348,11 +334,21 @@ class ResultStore:
         """Start recording new entries (process-pool workers)."""
         self._journal = StoreDelta()
 
-    def take_journal(self) -> StoreDelta:
-        """Return the entries recorded since :meth:`begin_journal`."""
-        delta = self._journal or StoreDelta()
-        self._journal = StoreDelta()
+    def take_journal(self) -> StoreDelta | None:
+        """The entries recorded since the last take (None: not journaling)."""
+        if self._journal is None:
+            return None
+        delta, self._journal = self._journal, StoreDelta()
         return delta
+
+    def fold_stats(self, stats: StoreStats) -> None:
+        """Add one finished cone's lookups to :attr:`stats`.
+
+        Locked: the daemon's job threads fold into one shared store, and
+        an unlocked read-modify-write would lose counts.
+        """
+        with self._lock:
+            self.stats.add(stats)
 
     def merge(self, delta: StoreDelta) -> int:
         """Fold a worker's journal into this store; returns entries added.

@@ -17,12 +17,11 @@ turns the unseen ones into new tasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.identify import CheckStats
 from repro.core.threshold import ThresholdGate
 from repro.engine.events import TaskMetrics
-from repro.engine.store import StoreDelta, StoreStats
+from repro.engine.store import StoreDelta
 from repro.network.network import BooleanNetwork
 
 
@@ -50,22 +49,16 @@ class SynthTask:
 class TaskResult:
     """Everything a finished cone task hands back to the scheduler.
 
-    ``degraded`` marks a cone that the resilience layer completed with the
-    paper's one-to-one fallback mapping (after a deadline, quarantine, or
-    retry exhaustion) rather than full TELS synthesis; ``attempts`` is how
-    many executor submissions the cone consumed, so the trace can report
-    retry pressure.
+    ``metrics`` is the cone's one counter record; ``store_delta`` carries
+    the entries a worker's private store journaled (None when the cone ran
+    on the caller's store).
     """
 
     task_id: str
     gates: tuple[ThresholdGate, ...]
     discovered: tuple[str, ...]
     metrics: TaskMetrics
-    stats_delta: CheckStats = field(default_factory=CheckStats)
     store_delta: StoreDelta | None = None
-    store_stats_delta: StoreStats | None = None
-    degraded: bool = False
-    attempts: int = 1
 
 
 def preserved_set(

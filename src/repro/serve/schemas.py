@@ -256,14 +256,17 @@ def report_to_dict(network, report, source_verified: bool, wall_s: float) -> dic
             "quarantined": len(trace.quarantined),
             "degraded": len(trace.degraded),
         }
+        # This run's cone records only: the daemon's store is shared by
+        # concurrent jobs, so its own counters are not per-job numbers.
+        check, store = trace.folded()
         result["cache"] = {
-            "checker_calls": int(trace.total("checker_calls")),
-            "store_hits": int(trace.total("checker_cache_hits")),
-            "persistent_hits": int(trace.total("persistent_hits")),
-            "persistent_misses": int(trace.total("persistent_misses")),
-            "transformed_hits": int(trace.total("transformed_hits")),
-            "ilp_solved": int(trace.total("ilp_solved")),
-            "fastpath_hits": int(trace.total("fastpath_hits")),
+            "checker_calls": check.calls,
+            "store_hits": check.cache_hits,
+            "persistent_hits": store.persistent_hits,
+            "persistent_misses": store.persistent_misses,
+            "transformed_hits": store.transformed_hits,
+            "ilp_solved": check.ilp_solved,
+            "fastpath_hits": check.fastpath_hits,
         }
     if report.lint is not None:
         result["lint"] = {

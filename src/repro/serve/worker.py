@@ -3,14 +3,13 @@
 A worker is the distributed twin of one process-pool worker
 (:mod:`repro.engine.executor`): it claims leased task batches from the
 daemon's work broker, rebuilds the session state exactly like the pool
-initializer would (network + options + preserved set + store seed, one
-long-lived checker), runs each cone through the same
-:class:`~repro.engine.cone.ConeSynthesizer` with the same per-task RNG
-stream and chaos hook, and posts each :class:`~repro.engine.tasks.TaskResult`
-back as an opaque blob.  Because cones are deterministic functions of
-(task_id, options, source network), it does not matter *which* worker — or
-the local fallback pool — runs a cone: the assembled network is
-byte-identical either way.
+initializer would (one :class:`~repro.engine.executor.ConeRunner` over the
+network, options, preserved set and store seed), runs each cone through it
+with the same per-task RNG stream and chaos hook, and posts each
+:class:`~repro.engine.tasks.TaskResult` back as an opaque blob.  Because
+cones are deterministic functions of (task_id, options, source network),
+it does not matter *which* worker — or the local fallback pool — runs a
+cone: the assembled network is byte-identical either way.
 
 Two deliberate differences from a pool worker:
 
@@ -39,15 +38,9 @@ import os
 import pickle
 import threading
 import uuid
-from dataclasses import dataclass
 
 from repro.cache.network import NetworkCacheClient
-from repro.core.identify import ThresholdChecker
-from repro.engine.cone import ConeSynthesizer
-from repro.engine.executor import _worker_fault_hook
-from repro.engine.resilience import Deadline, ResiliencePolicy
-from repro.engine.store import ResultStore
-from repro.engine.tasks import TaskResult
+from repro.engine.executor import ConeRunner
 from repro.errors import (
     DeadlineExceeded,
     InjectedCrash,
@@ -73,19 +66,6 @@ def make_worker_id() -> str:
     return f"w-{os.getpid()}-{uuid.uuid4().hex[:6]}"
 
 
-@dataclass
-class _SessionState:
-    """Rebuilt per-session worker state (the pool initializer's globals)."""
-
-    etag: str
-    network: object
-    options: object
-    preserved: frozenset
-    checker: ThresholdChecker
-    store: ResultStore
-    deadline_per_cone_s: float | None
-
-
 class Worker:
     """One claim/run/post loop against a daemon's work broker."""
 
@@ -103,7 +83,8 @@ class Worker:
         self.stop = stop if stop is not None else threading.Event()
         self.use_network_cache = use_network_cache
         self.client = WorkClient(HttpTransport(self.url))
-        self._sessions: dict[str, _SessionState] = {}
+        #: session id -> (payload etag, the session's cone runner).
+        self._sessions: dict[str, tuple[str, ConeRunner]] = {}
         self._lease_s = DEFAULT_LEASE_S
         self._claim_seq = itertools.count(1)
         #: Posts that may still succeed, retried each loop turn.  Without
@@ -126,61 +107,21 @@ class Worker:
             self.stop.wait(max(0.05, min(self._lease_s / 3.0, 2.0)))
 
     # -- session state -------------------------------------------------
-    def _session(self, session_id: str, etag: str) -> _SessionState:
-        state = self._sessions.get(session_id)
-        if state is not None and state.etag == etag:
-            return state
+    def _session(self, session_id: str, etag: str) -> ConeRunner:
+        cached = self._sessions.get(session_id)
+        if cached is not None and cached[0] == etag:
+            return cached[1]
         # The payload travels as raw (ETag-checked) pickle bytes.
         payload = pickle.loads(self.client.fetch_payload(session_id))
-        network = payload["network"]
-        options = payload["options"]
-        preserved = payload["preserved"]
-        persistent = (
-            NetworkCacheClient(self.url) if self.use_network_cache else None
+        runner = ConeRunner.for_worker(
+            payload["network"],
+            payload["options"],
+            payload["preserved"],
+            payload["store_seed"],
+            NetworkCacheClient(self.url) if self.use_network_cache else None,
         )
-        store = ResultStore(persistent=persistent)
-        store.merge(payload["store_seed"])
-        store.begin_journal()
-        checker = ThresholdChecker.from_options(options, store=store)
-        state = _SessionState(
-            etag=etag,
-            network=network,
-            options=options,
-            preserved=preserved,
-            checker=checker,
-            store=store,
-            deadline_per_cone_s=ResiliencePolicy.from_options(
-                options
-            ).deadline_per_cone_s,
-        )
-        self._sessions[session_id] = state
-        return state
-
-    # -- cone execution ------------------------------------------------
-    def _run_task(
-        self, state: _SessionState, task_id: str, root: str, attempt: int
-    ) -> TaskResult:
-        deadline = Deadline.after(state.deadline_per_cone_s)
-        outcome = ConeSynthesizer(
-            state.network,
-            root,
-            state.options,
-            state.checker,
-            state.preserved,
-            deadline=deadline,
-            fault_hook=_worker_fault_hook(task_id, attempt),
-        ).run()
-        outcome.metrics.attempts = attempt
-        return TaskResult(
-            task_id=task_id,
-            gates=outcome.gates,
-            discovered=outcome.discovered,
-            metrics=outcome.metrics,
-            stats_delta=outcome.stats_delta,
-            store_delta=state.store.take_journal(),
-            store_stats_delta=outcome.store_stats_delta,
-            attempts=attempt,
-        )
+        self._sessions[session_id] = (etag, runner)
+        return runner
 
     def _deliver(
         self, session_id: str, results: list[dict], failures: list[dict]
@@ -228,7 +169,7 @@ class Worker:
 
     def _handle_batch(self, session_id: str, etag: str, tasks: list[dict]):
         try:
-            state = self._session(session_id, etag)
+            runner = self._session(session_id, etag)
         except (TransportError, HttpStatusError, KeyError) as exc:
             self._post(
                 session_id,
@@ -250,9 +191,7 @@ class Worker:
             task_id = str(row["task_id"])
             attempt = int(row.get("attempt", 1))
             try:
-                result = self._run_task(
-                    state, task_id, str(row["root"]), attempt
-                )
+                result = runner.run(str(row["root"]), attempt)
             except InjectedCrash as exc:
                 failure = {"kind": "crash", "message": str(exc)}
             except DeadlineExceeded as exc:

@@ -215,3 +215,30 @@ class TestResilienceFlags:
         monkeypatch.setenv("TELS_CHAOS", "bogus=1.0")
         assert main(["synth", str(blif_file)]) == 2
         assert "chaos" in capsys.readouterr().err.lower()
+
+
+class TestSubmit:
+    def test_submit_forwards_analyze(self, blif_file, capsys):
+        import json
+
+        from repro.serve.app import ServeApp
+        from repro.serve.client import TelsClient
+
+        app = ServeApp(port=0)
+        app.start_background()
+        try:
+            assert main(
+                [
+                    "submit",
+                    str(blif_file),
+                    "--url",
+                    app.url,
+                    "--analyze",
+                    "--wait",
+                ]
+            ) == 0
+            job_id = json.loads(capsys.readouterr().out)["id"]
+            result = TelsClient(app.url).result(job_id)
+        finally:
+            app.shutdown()
+        assert "analysis" in result
