@@ -1,5 +1,10 @@
 """Unit tests for the script pipelines (SIS stand-ins)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from repro.network.scripts import (
     prepare_one_to_one,
     prepare_tels,
@@ -54,6 +59,34 @@ class TestPrepareOneToOne:
             single_cube = func.num_cubes <= 1
             or_shape = all(c.num_literals == 1 for c in func.cover.cubes)
             assert single_cube or or_shape
+
+    def test_output_does_not_depend_on_hash_seed(self):
+        """Extracted kernels are rebuilt in one order in every process."""
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        script = (
+            "import sys\n"
+            "from repro.benchgen.mcnc import build_benchmark\n"
+            "from repro.io.blif import to_blif\n"
+            "from repro.network.scripts import prepare_one_to_one\n"
+            "net = prepare_one_to_one(build_benchmark('x1'), max_fanin=3)\n"
+            "sys.stdout.write(to_blif(net))\n"
+        )
+        outputs = []
+        for seed in ("1", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_inverter_gates_default(self):
         net = random_network(541)
