@@ -230,13 +230,19 @@ class Cover:
         """
         if self._scc is None:
             kept: list[Cube] = []
+            masks: list[tuple[int, int]] = []
             # Sort by increasing size so containers are seen before
             # containees.  The set() pre-pass is kept deliberately: its
             # iteration order is the historical tie-break among equal-size
             # cubes, and downstream decompositions are pinned to it.
             for cube in sorted(set(self.cubes), key=lambda c: c.num_literals):
-                if not any(k.contains(cube) for k in kept):
+                pos, neg = cube.pos, cube.neg
+                for kpos, kneg in masks:
+                    if kpos & pos == kpos and kneg & neg == kneg:
+                        break  # a kept cube contains this one
+                else:
                     kept.append(cube)
+                    masks.append((pos, neg))
             reduced = Cover(kept, self.nvars)
             object.__setattr__(reduced, "_scc", reduced)
             object.__setattr__(self, "_scc", reduced)
@@ -374,9 +380,12 @@ class Cover:
         result = g.product(f1)
         if f0.is_zero():
             return result
-        if f1.covers(f0):
-            # f0 ⊆ f1 (e.g. var unate-positive): g*f1 + g'*f0 == g*f1 + f0,
-            # so no complement of g is required.
+        f1_cubes = set(f1.cubes)
+        if all(c in f1_cubes for c in f0.cubes) or f1.covers(f0):
+            # f0 ⊆ f1: g*f1 + g'*f0 == g*f1 + f0, so no complement of g is
+            # required.  The cube-wise test decides the common case without
+            # a semantic containment: when var has no negative literal,
+            # every cube of f0 is also a cube of f1.
             return result.union(f0)
         return result.union(g.complement().product(f0))
 
@@ -531,13 +540,14 @@ def _complement(key: tuple) -> tuple:
     c1 = _complement(_key_restrict(key, var, True))
     merged: dict[tuple[int, int], None] = {}
     c0set = set(c0)
+    c1set = set(c1)
     for pos, neg in c1:
         if (pos, neg) in c0set:
             merged[(pos, neg)] = None  # present in both branches: drop literal
         else:
             merged[(pos | bit, neg)] = None
     for pos, neg in c0:
-        if (pos, neg) not in set(c1):
+        if (pos, neg) not in c1set:
             merged[(pos, neg | bit)] = None
     # SCC cleanup.
     items = sorted(merged, key=lambda r: (r[0] | r[1]).bit_count())

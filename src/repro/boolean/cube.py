@@ -142,12 +142,12 @@ class Cube:
 
     def literals(self) -> Iterator[tuple[int, bool]]:
         """Yield ``(variable_index, phase)`` pairs for every literal."""
-        for i in range(self.nvars):
-            bit = 1 << i
-            if self.pos & bit:
-                yield i, True
-            elif self.neg & bit:
-                yield i, False
+        pos = self.pos
+        mask = pos | self.neg
+        while mask:
+            bit = mask & -mask
+            yield bit.bit_length() - 1, bool(pos & bit)
+            mask ^= bit
 
     # ------------------------------------------------------------------
     # Relational operations

@@ -61,10 +61,8 @@ def divide(cover: Cover, divisor: Cover) -> tuple[Cover, Cover]:
     if not quotient_cubes:
         return Cover.zero(cover.nvars), cover
     quotient = Cover(sorted(quotient_cubes), cover.nvars)
-    product = algebraic_product(quotient, divisor)
-    remainder = Cover(
-        [c for c in cover.cubes if c not in set(product.cubes)], cover.nvars
-    )
+    product = set(algebraic_product(quotient, divisor).cubes)
+    remainder = Cover([c for c in cover.cubes if c not in product], cover.nvars)
     return quotient, remainder
 
 
