@@ -96,6 +96,15 @@ class TestCommands:
         for prefix in ("checks:", "fastpath:", "solvers:"):
             assert sum(line.startswith(prefix) for line in lines) == 1, prefix
 
+    def test_synth_blif_with_a_dead_buffer_of_an_inverter(self, tmp_path, capsys):
+        path = tmp_path / "dead.blif"
+        path.write_text(
+            ".model dead\n.inputs a b\n.outputs o\n"
+            ".names B A\n1 1\n.names a B\n0 1\n.names a b o\n11 1\n.end\n"
+        )
+        assert main(["synth", str(path)]) == 0
+        assert "verified=True" in capsys.readouterr().out
+
     def test_synth_jobs_flag(self, blif_file, capsys):
         assert main(["synth", str(blif_file), "--jobs", "2"]) == 0
         out = capsys.readouterr().out

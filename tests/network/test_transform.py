@@ -67,6 +67,20 @@ class TestSweep:
         sweep(net)
         assert not net.has_node("dead")
 
+    def test_dead_node_listed_before_the_trivial_node_it_reads(self):
+        # A (dead) buffers B, an inverter; dropping A leaves B dead too.
+        net = BooleanNetwork()
+        net.add_input("a")
+        net.add_input("b")
+        net.add_node("A", BooleanFunction.parse("B"))
+        net.add_node("B", BooleanFunction.parse("a'"))
+        net.add_node("o", BooleanFunction.parse("a b"))
+        net.add_output("o")
+        source = net.copy()
+        assert sweep(net) == 2
+        assert net.node_names == ("o",)
+        assert equivalent_networks(source, net)
+
     def test_equivalence_fuzz(self):
         for seed in range(15):
             net = random_network(seed)
