@@ -29,7 +29,11 @@ import sys
 from repro.benchgen.mcnc import benchmark_names
 from repro.core.area import boolean_stats, network_stats
 from repro.core.mapping import one_to_one_map
-from repro.core.synthesis import SynthesisOptions, synthesize_with_report
+from repro.core.synthesis import (
+    CLIENT_FIELDS,
+    SynthesisOptions,
+    synthesize_with_report,
+)
 from repro.core.threshold import gate_table
 from repro.core.verify import verify_threshold_network
 from repro.errors import ReproError
@@ -43,32 +47,116 @@ from repro.io.thblif import (
 from repro.network.scripts import prepare_one_to_one, prepare_tels
 
 
-def _add_backend_args(parser: argparse.ArgumentParser) -> None:
+def _flag(*spellings: str, **settings) -> tuple[tuple[str, ...], dict]:
+    return spellings, settings
+
+
+def _option_flags() -> dict[str, tuple[tuple[str, ...], dict]]:
+    """Each option flag's spellings and argparse settings.
+
+    Keyed by the :class:`SynthesisOptions` field the flag sets; the
+    defaults come from SynthesisOptions (:func:`_add_option_flags`).
+    """
+    from repro.gates import model_names
     from repro.ilp.backends import registered_backends
 
-    parser.add_argument(
-        "--ilp-backend",
-        "--backend",  # legacy alias
-        dest="ilp_backend",
-        default="auto",
-        choices=("auto", *registered_backends()),
-        help="ILP solver backend",
-    )
-    parser.add_argument(
-        "--no-fastpath",
-        action="store_true",
-        help="disable the Chow-parameter fast path (always solve the ILP)",
+    return {
+        "psi": _flag("--psi", type=int, help="fanin restriction"),
+        "gate_model": _flag(
+            "--gate-model",
+            choices=model_names(),
+            help="gate-model backend: ltg (paper default), multi-threshold "
+            "(k-threshold gates absorbing parity cones), flash "
+            "(grid-quantized weights with drift-derived margins)",
+        ),
+        "delta_on": _flag("--delta-on", type=int, help="ON tolerance"),
+        "delta_off": _flag("--delta-off", type=int, help="OFF tolerance"),
+        "seed": _flag("--seed", type=int, help="tie-break seed"),
+        "backend": _flag(
+            "--ilp-backend",
+            "--backend",  # legacy alias
+            choices=("auto", *registered_backends()),
+            help="ILP solver backend",
+        ),
+        "use_fastpath": _flag(
+            "--no-fastpath",
+            action="store_false",
+            help="disable the Chow-parameter fast path (always solve the ILP)",
+        ),
+        "lint": _flag(
+            "--no-lint",
+            action="store_false",
+            help="skip the static lint post-pass over the synthesized network",
+        ),
+        "analyze": _flag(
+            "--analyze",
+            action="store_true",
+            help="run the whole-network dataflow analysis post-pass "
+            "(certificate + verified removal candidates in the trace summary)",
+        ),
+        "deadline_per_cone_s": _flag(
+            "--deadline-per-cone",
+            type=float,
+            metavar="SECONDS",
+            help="wall-clock budget per cone; a cone blowing it degrades to "
+            "the one-to-one mapping (see docs/RESILIENCE.md)",
+        ),
+        "deadline_total_s": _flag(
+            "--deadline-total",
+            type=float,
+            metavar="SECONDS",
+            help="wall-clock budget for the whole run; unfinished cones "
+            "degrade on expiry",
+        ),
+        "max_attempts": _flag(
+            "--max-attempts",
+            type=int,
+            help="dispatch attempts per cone before degrading (transient "
+            "failures retry with exponential backoff)",
+        ),
+        "strict_synthesis": _flag(
+            "--strict-synthesis",
+            action="store_true",
+            help="fail instead of degrading a cone that times out, crashes "
+            "repeatedly, or exhausts its retries",
+        ),
+    }
+
+
+def _add_option_flags(
+    parser: argparse.ArgumentParser, fields: tuple[str, ...] | None = None
+) -> None:
+    """Add the option flags of ``fields`` (every option flag when None).
+
+    Each flag stores into its field, defaulting to the field's
+    :class:`SynthesisOptions` default; :func:`_options` reads them back.
+    """
+    table = _option_flags()
+    fields = tuple(table) if fields is None else fields
+    defaults = SynthesisOptions()
+    for name in fields:
+        spellings, settings = table[name]
+        parser.add_argument(
+            *spellings, dest=name, default=getattr(defaults, name), **settings
+        )
+    parser.set_defaults(option_fields=fields)
+
+
+def _options(args: argparse.Namespace) -> SynthesisOptions:
+    """The command's option flags, validated by SynthesisOptions (exit 2)."""
+    return SynthesisOptions(
+        **{name: getattr(args, name) for name in args.option_fields}
     )
 
 
-def _add_cache_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--cache",
-        metavar="DIR",
-        default=None,
-        help="persistent synthesis-cache directory "
-        "(default: the TELS_CACHE environment variable, if set)",
-    )
+def _add_cache_args(parser: argparse.ArgumentParser, directory=True) -> None:
+    if directory:
+        parser.add_argument(
+            "--cache",
+            metavar="DIR",
+            help="persistent synthesis-cache directory "
+            "(default: the TELS_CACHE environment variable, if set)",
+        )
     parser.add_argument(
         "--no-cache",
         action="store_true",
@@ -80,111 +168,42 @@ def _cache_dir(args: argparse.Namespace) -> str | None:
     """Resolve the persistent-cache directory from flags and environment."""
     import os
 
-    if getattr(args, "no_cache", False):
+    if args.no_cache:
         return None
-    explicit = getattr(args, "cache", None)
-    if explicit:
-        return explicit
-    return os.environ.get("TELS_CACHE") or None
+    return args.cache or os.environ.get("TELS_CACHE") or None
 
 
-def _add_gate_model_arg(parser: argparse.ArgumentParser) -> None:
-    from repro.gates import model_names
-
-    parser.add_argument(
-        "--gate-model",
-        default="ltg",
-        choices=model_names(),
-        help="gate-model backend: ltg (paper default), multi-threshold "
-        "(k-threshold gates absorbing parity cones), flash "
-        "(grid-quantized weights with drift-derived margins)",
-    )
-
-
-def _add_synthesis_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--psi", type=int, default=3, help="fanin restriction")
-    _add_gate_model_arg(parser)
-    parser.add_argument("--delta-on", type=int, default=0, help="ON tolerance")
-    parser.add_argument("--delta-off", type=int, default=1, help="OFF tolerance")
-    parser.add_argument("--seed", type=int, default=0, help="tie-break seed")
-    _add_backend_args(parser)
-    _add_cache_args(parser)
+def _add_run_args(parser: argparse.ArgumentParser, local: bool = True) -> None:
+    """The run's cache and worker flags; ``local`` adds ``--cache DIR`` and
+    ``--distribute``, which ``tels submit`` leaves to the daemon."""
+    _add_cache_args(parser, directory=local)
     parser.add_argument(
         "--jobs",
         type=int,
         default=1,
         help="cone-synthesis worker processes (0 = all cores)",
     )
-    parser.add_argument(
-        "--distribute",
-        metavar="URL",
-        default=None,
-        help="farm cones to `tels worker` processes through this serve "
-        "daemon; on total worker loss the run degrades to a local "
-        "executor and still completes with identical output",
-    )
-    parser.add_argument(
-        "--no-lint",
-        action="store_true",
-        help="skip the static lint post-pass over the synthesized network",
-    )
-    parser.add_argument(
-        "--analyze",
-        action="store_true",
-        help="run the whole-network dataflow analysis post-pass "
-        "(certificate + verified removal candidates in the trace summary)",
-    )
-    parser.add_argument(
-        "--deadline-per-cone",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock budget per cone; a cone blowing it degrades to "
-        "the one-to-one mapping (see docs/RESILIENCE.md)",
-    )
-    parser.add_argument(
-        "--deadline-total",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock budget for the whole run; unfinished cones "
-        "degrade on expiry",
-    )
-    parser.add_argument(
-        "--max-attempts",
-        type=int,
-        default=3,
-        help="dispatch attempts per cone before degrading (transient "
-        "failures retry with exponential backoff)",
-    )
-    parser.add_argument(
-        "--strict-synthesis",
-        action="store_true",
-        help="fail instead of degrading a cone that times out, crashes "
-        "repeatedly, or exhausts its retries",
-    )
+    if local:
+        parser.add_argument(
+            "--distribute",
+            metavar="URL",
+            help="farm cones to `tels worker` processes through this serve "
+            "daemon; on total worker loss the run degrades to a local "
+            "executor and still completes with identical output",
+        )
 
 
-def _options(args: argparse.Namespace) -> SynthesisOptions:
-    return SynthesisOptions(
-        psi=args.psi,
-        delta_on=args.delta_on,
-        delta_off=args.delta_off,
-        seed=args.seed,
-        backend=args.ilp_backend,
-        gate_model=getattr(args, "gate_model", "ltg"),
-        use_fastpath=not args.no_fastpath,
-        lint=not getattr(args, "no_lint", False),
-        analyze=getattr(args, "analyze", False),
-        deadline_per_cone_s=getattr(args, "deadline_per_cone", None),
-        deadline_total_s=getattr(args, "deadline_total", None),
-        max_attempts=getattr(args, "max_attempts", 3),
-        strict_synthesis=getattr(args, "strict_synthesis", False),
+def _synthesize(args: argparse.Namespace, source, cancel=None):
+    """Prepare and synthesize ``source`` as the command's flags say:
+    ``(threshold network, SynthesisReport)``."""
+    return synthesize_with_report(
+        prepare_tels(source),
+        _options(args),
+        jobs=args.jobs,
+        cache_dir=_cache_dir(args),
+        cancel=cancel,
+        distribute=args.distribute,
     )
-
-
-def _jobs(args: argparse.Namespace) -> int:
-    return getattr(args, "jobs", 1)
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -206,7 +225,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     from repro.errors import SynthesisCancelled
 
     network = read_blif(args.file)
-    prepared = prepare_tels(network)
     # Ctrl-C cancels cooperatively: the first SIGINT sets the flag, the
     # scheduler stops between cones and reaps its pool workers (a second
     # Ctrl-C falls through to the default handler and kills the process).
@@ -227,14 +245,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     except ValueError:  # not the main thread (embedded use): no handler
         previous = None
     try:
-        threshold_net, report = synthesize_with_report(
-            prepared,
-            _options(args),
-            jobs=_jobs(args),
-            cache_dir=_cache_dir(args),
-            cancel=cancel,
-            distribute=getattr(args, "distribute", None),
-        )
+        threshold_net, report = _synthesize(args, network, cancel)
     except SynthesisCancelled as exc:
         print(f"tels synth: {exc}", file=sys.stderr)
         return 130
@@ -307,11 +318,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_map(args: argparse.Namespace) -> int:
+    options = _options(args)
     network = read_blif(args.file)
-    prepared = prepare_one_to_one(network, max_fanin=args.psi)
+    prepared = prepare_one_to_one(network, max_fanin=options.psi)
     threshold_net = one_to_one_map(
-        prepared, delta_on=args.delta_on, delta_off=args.delta_off,
-        backend=args.ilp_backend,
+        prepared,
+        delta_on=options.delta_on,
+        delta_off=options.delta_off,
+        backend=options.backend,
     )
     ok = verify_threshold_network(network, threshold_net)
     print(f"one-to-one: {network_stats(threshold_net)} verified={ok}")
@@ -323,8 +337,7 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     network = read_blif(args.file)
-    prepared = prepare_tels(network)
-    threshold_net, _ = synthesize_with_report(prepared, _options(args))
+    threshold_net, _ = _synthesize(args, network)
     ok = verify_threshold_network(network, threshold_net, vectors=args.vectors)
     mode = (
         "exhaustively"
@@ -371,8 +384,7 @@ def _analyze_load(args: argparse.Namespace, path: str):
         network = read_thblif(path)
         return network, threshold_to_boolean(network)
     source = read_blif(path)
-    prepared = prepare_tels(source)
-    network, _ = synthesize_with_report(prepared, _options(args))
+    network, _ = _synthesize(args, source)
     return network, source
 
 
@@ -408,11 +420,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
         return EXIT_USAGE
 
-    gate_model = getattr(args, "gate_model", "ltg")
     aopts = AnalysisOptions(
-        gate_model=gate_model,
-        vectors=args.vectors,
-        seed=getattr(args, "seed", 0),
+        gate_model=args.gate_model, vectors=args.vectors, seed=args.seed
     )
     entries = []  # (path, network, golden source, AnalysisResult, report)
     for path in files:
@@ -422,7 +431,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             network,
             LintOptions(
                 analysis=True,
-                gate_model=gate_model,
+                gate_model=args.gate_model,
                 gate_lines=dict(network.gate_lines),
             ),
             source=golden,
@@ -487,7 +496,6 @@ def _analyze_apply(args: argparse.Namespace, entry, apply_removals) -> int:
     from repro.lint.runner import run_lint
 
     path, network, golden, result, _ = entry
-    gate_model = getattr(args, "gate_model", "ltg")
     rewritten, applied = apply_removals(
         network, result.findings, vectors=args.vectors
     )
@@ -499,7 +507,7 @@ def _analyze_apply(args: argparse.Namespace, entry, apply_removals) -> int:
     # errors before anything touches the filesystem.
     post = run_lint(
         rewritten,
-        LintOptions(gate_model=gate_model),
+        LintOptions(gate_model=args.gate_model),
         source=golden,
         file=path,
     )
@@ -541,9 +549,7 @@ def cmd_verilog(args: argparse.Namespace) -> int:
     if args.file.endswith(".th"):
         network = read_thblif(args.file)
     else:
-        source = read_blif(args.file)
-        prepared = prepare_tels(source)
-        network, _ = synthesize_with_report(prepared, _options(args))
+        network, _ = _synthesize(args, read_blif(args.file))
     text = threshold_to_verilog(network)
     if args.output:
         from pathlib import Path
@@ -559,15 +565,16 @@ def cmd_suite(args: argparse.Namespace) -> int:
     from repro.benchgen.extended import all_benchmark_names
     from repro.experiments.extended_suite import format_suite, run_suite
 
+    options = _options(args)
     names = [n for n in all_benchmark_names() if args.full or n != "i10"]
     summary = run_suite(
         names,
-        psi=args.psi,
-        seed=args.seed,
+        psi=options.psi,
+        seed=options.seed,
         jobs=args.jobs,
-        backend=args.ilp_backend,
+        backend=options.backend,
         cache_dir=_cache_dir(args),
-        gate_model=getattr(args, "gate_model", "ltg"),
+        gate_model=options.gate_model,
     )
     print(format_suite(summary))
     return 0
@@ -576,15 +583,16 @@ def cmd_suite(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.sweep import format_sweep, run_delta_sweep
 
+    options = _options(args)
     points = run_delta_sweep(
         args.benchmarks,
         delta_ons=tuple(args.deltas),
-        delta_off=args.delta_off,
-        psi=args.psi,
-        seed=args.seed,
+        delta_off=options.delta_off,
+        psi=options.psi,
+        seed=options.seed,
         jobs=args.jobs,
         cache_dir=_cache_dir(args),
-        gate_model=getattr(args, "gate_model", "ltg"),
+        gate_model=options.gate_model,
     )
     print(format_sweep(points))
     return 0
@@ -625,8 +633,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_table1(args: argparse.Namespace) -> int:
     from repro.experiments.table1 import format_table1, run_table1
 
+    options = _options(args)
     names = args.benchmarks or benchmark_names(include_large=not args.small)
-    rows = run_table1(names, psi=args.psi, seed=args.seed)
+    rows = run_table1(names, psi=options.psi, seed=options.seed)
     print(format_table1(rows))
     return 0
 
@@ -695,16 +704,13 @@ def cmd_cache(args: argparse.Namespace) -> int:
     # warm: synthesize the named benchmarks against the cache to seed it.
     from repro.benchgen.extended import build_extended_benchmark
     from repro.engine.store import ResultStore
-    from repro.network.scripts import prepare_tels
 
+    options = _options(args)
     store = ResultStore.with_cache_dir(cache_dir)
     for name in args.benchmarks:
         source = build_extended_benchmark(name)
         synthesize_with_report(
-            prepare_tels(source),
-            SynthesisOptions(psi=args.psi, seed=args.seed),
-            jobs=_jobs(args),
-            store=store,
+            prepare_tels(source), options, jobs=args.jobs, store=store
         )
         print(f"warmed {name}: cache now {len(store.persistent)} entries")
     s = store.stats
@@ -759,9 +765,9 @@ def _lint_one_file(
         psi=args.psi,
         rules=rules,
         strict=args.strict,
-        gate_model=getattr(args, "gate_model", "ltg"),
+        gate_model=args.gate_model,
         gate_lines=dict(network.gate_lines),
-        analysis=getattr(args, "analysis", False),
+        analysis=args.analysis,
     )
     return run_lint(network, options, file=path), False
 
@@ -881,13 +887,10 @@ def _api_options(args: argparse.Namespace) -> dict:
     """The synthesis flags as a job-API options dict (None values elided).
 
     Read off :func:`_options`, so ``tels submit`` forwards exactly what
-    ``tels synth`` would run with, restricted to the API's fields.
+    ``tels synth`` would run with, restricted to the client-settable fields.
     """
-    from repro.serve.schemas import OPTION_FIELDS
-
-    options = _options(args)
-    values = {name: getattr(options, name) for name in OPTION_FIELDS}
-    return {k: v for k, v in values.items() if v is not None}
+    values = vars(_options(args))
+    return {k: values[k] for k in CLIENT_FIELDS if values[k] is not None}
 
 
 def _print_snapshot(snapshot: dict) -> None:
@@ -904,7 +907,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
         blif,
         name=name,
         options=_api_options(args),
-        jobs=_jobs(args),
+        jobs=args.jobs,
         use_cache=not args.no_cache,
     )
     job_id = snapshot["id"]
@@ -1000,19 +1003,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--print-network", action="store_true", help="dump BLIF-TH to stdout"
     )
-    _add_synthesis_args(p)
+    _add_option_flags(p)
+    _add_run_args(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("map", help="one-to-one threshold mapping")
     p.add_argument("file")
     p.add_argument("-o", "--output", help="write BLIF-TH here")
-    _add_synthesis_args(p)
+    _add_option_flags(p, ("psi", "delta_on", "delta_off", "backend"))
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("simulate", help="synthesize and verify by simulation")
     p.add_argument("file")
     p.add_argument("--vectors", type=int, default=2048)
-    _add_synthesis_args(p)
+    _add_option_flags(p)
+    _add_run_args(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("print-th", help="display a BLIF-TH network")
@@ -1058,7 +1063,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the report (or with --apply the rewritten network) "
         "here instead of stdout / in place",
     )
-    _add_synthesis_args(p)
+    _add_option_flags(p)
+    _add_run_args(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser(
@@ -1066,7 +1072,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("file")
     p.add_argument("-o", "--output")
-    _add_synthesis_args(p)
+    _add_option_flags(p)
+    _add_run_args(p)
     p.set_defaults(func=cmd_verilog)
 
     p = sub.add_parser(
@@ -1093,10 +1100,7 @@ def build_parser() -> argparse.ArgumentParser:
         "suite", help="run both flows over the full benchmark population"
     )
     p.add_argument("--full", action="store_true", help="include i10")
-    p.add_argument("--psi", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    _add_gate_model_arg(p)
-    _add_backend_args(p)
+    _add_option_flags(p, ("psi", "seed", "gate_model", "backend"))
     _add_cache_args(p)
     p.add_argument(
         "--jobs",
@@ -1120,34 +1124,30 @@ def build_parser() -> argparse.ArgumentParser:
         default=[0, 1, 2, 3],
         help="delta_on values to sweep",
     )
-    p.add_argument("--delta-off", type=int, default=1)
-    p.add_argument("--psi", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    _add_option_flags(p, ("delta_off", "psi", "seed", "gate_model"))
     p.add_argument("--jobs", type=int, default=1)
-    _add_gate_model_arg(p)
     _add_cache_args(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("table1", help="regenerate Table I")
     p.add_argument("--benchmarks", nargs="*", help="subset of benchmarks")
     p.add_argument("--small", action="store_true", help="skip i10")
-    p.add_argument("--psi", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    _add_option_flags(p, ("psi", "seed"))
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("fig10", help="regenerate Fig. 10 (fanin sweep)")
     p.add_argument("--benchmark", default="comp")
-    p.add_argument("--seed", type=int, default=0)
+    _add_option_flags(p, ("seed",))
     p.set_defaults(func=cmd_fig10)
 
     p = sub.add_parser("fig11", help="regenerate Fig. 11 (failure rates)")
     p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    _add_option_flags(p, ("seed",))
     p.set_defaults(func=cmd_fig11)
 
     p = sub.add_parser("fig12", help="regenerate Fig. 12 (robustness/area)")
     p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    _add_option_flags(p, ("seed",))
     p.set_defaults(func=cmd_fig12)
 
     p = sub.add_parser(
@@ -1168,8 +1168,7 @@ def build_parser() -> argparse.ArgumentParser:
                 default=["cm152a", "cm85a", "cmb"],
                 help="benchmarks to synthesize into the cache",
             )
-            cp.add_argument("--psi", type=int, default=3)
-            cp.add_argument("--seed", type=int, default=0)
+            _add_option_flags(cp, ("psi", "seed"))
             cp.add_argument("--jobs", type=int, default=1)
         cp.set_defaults(func=cmd_cache)
 
@@ -1212,7 +1211,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="fanin restriction to enforce (default: no fanin rule)",
     )
-    _add_gate_model_arg(p)
+    _add_option_flags(p, ("gate_model",))
     p.add_argument("-o", "--output", help="write the report here")
     p.add_argument(
         "--list-rules",
@@ -1302,7 +1301,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=600.0,
         help="--wait limit in seconds",
     )
-    _add_synthesis_args(p)
+    _add_option_flags(p)
+    _add_run_args(p, local=False)
     p.set_defaults(func=cmd_submit)
 
     p = sub.add_parser(

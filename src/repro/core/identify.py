@@ -120,19 +120,16 @@ class ThresholdChecker:
         delta_on: ON-side defect tolerance (paper default 0).
         delta_off: OFF-side defect tolerance (paper default 1).
         backend: ILP backend passed to :func:`repro.ilp.solve.solve_ilp`.
-        minimize_cover: run espresso-lite before checking, which both
-            canonicalizes the cover (unique irredundant prime cover for a
-            unate function) and exposes semantic unateness that a redundant
-            cover can hide.
         max_weight: optional upper bound on every |w_i| (RTD/QCA processes
             realize weights as device areas, so practical weight ranges are
             small); functions needing a larger weight are declared
             non-threshold and split instead.
         use_fastpath: try the Chow-parameter fast path
             (:mod:`repro.ilp.fastpath`) before formulating an ILP.  Only
-            attempted on minimized covers (the fast path's weight lower
-            bound requires every support variable to be essential).  Its
-            candidate vector is the exact backend's only warm start.
+            attempted on covers of at most 12 variables, the ones the
+            checker minimizes (the fast path's weight lower bound requires
+            every support variable to be essential).  Its candidate vector
+            is the exact backend's only warm start.
         gate_model: name of the :class:`~repro.gates.base.GateModel`
             backend deciding representation and feasibility; ``"ltg"`` is
             the paper's single-threshold gate and keeps the historical
@@ -155,7 +152,6 @@ class ThresholdChecker:
     delta_on: int = 0
     delta_off: int = 1
     backend: str = "auto"
-    minimize_cover: bool = True
     max_weight: int | None = None
     use_fastpath: bool = True
     gate_model: str = "ltg"
@@ -184,8 +180,8 @@ class ThresholdChecker:
             delta_off=options.delta_off,
             backend=options.backend,
             max_weight=options.max_weight,
-            use_fastpath=getattr(options, "use_fastpath", True),
-            gate_model=getattr(options, "gate_model", "ltg"),
+            use_fastpath=options.use_fastpath,
+            gate_model=options.gate_model,
             store=store,
         )
 
@@ -266,11 +262,13 @@ class ThresholdChecker:
         from repro.engine.store import CoverAnalysis
 
         store = self._ensure_store()
-        key = (canonical, self.minimize_cover)
-        found = store.get_analysis(key, self.store_stats)
+        found = store.get_analysis(canonical, self.store_stats)
         if not store.is_miss(found):
             return found
-        if self.minimize_cover and cover.nvars <= 12:
+        # Minimizing canonicalizes the cover (the unique irredundant prime
+        # cover of a unate function) and exposes semantic unateness that a
+        # redundant cover can hide.
+        if cover.nvars <= 12:
             cover = minimize(cover)
         analysis: CoverAnalysis | None = None
         if syntactic_unateness(cover).is_unate:
@@ -282,7 +280,7 @@ class ThresholdChecker:
             # negative-unate; a positive literal here means the cover was
             # only syntactically unate, not semantically, so it cannot be a
             # threshold function under any tolerance setting.
-        store.put_analysis(key, analysis)
+        store.put_analysis(canonical, analysis)
         return analysis
 
     def _check_uncached(
@@ -303,7 +301,7 @@ class ThresholdChecker:
         # The fast path's weight lower bound needs every support variable
         # essential, which only the minimized irredundant prime cover
         # guarantees — same gate as the minimization in _analysis.
-        if self.use_fastpath and self.minimize_cover and cover.nvars <= 12:
+        if self.use_fastpath and cover.nvars <= 12:
             fast = fastpath_check(
                 positive,
                 off_cubes,
@@ -429,7 +427,7 @@ class ThresholdChecker:
         cover = cover.scc()
         if cover.is_zero() or cover.is_tautology():
             return None
-        if self.minimize_cover and cover.nvars <= 12:
+        if cover.nvars <= 12:
             cover = minimize(cover)
         if not syntactic_unateness(cover).is_unate:
             return None

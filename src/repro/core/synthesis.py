@@ -32,8 +32,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.identify import ThresholdChecker
+from repro.core.strategies import STRATEGIES
 from repro.core.threshold import ThresholdNetwork
 from repro.errors import SynthesisError
+from repro.ilp.backends import registered_backends
 from repro.network.network import BooleanNetwork
 
 if TYPE_CHECKING:
@@ -74,13 +76,12 @@ class SynthesisOptions:
             drift-derived tolerances.
         use_fastpath: resolve threshold checks with the Chow-parameter fast
             path before formulating an ILP (ablation knob).
-        max_collapse_cubes: SOP size guard during collapsing.
-        lint: run the static lint post-pass (``repro.lint.run_lint``)
-            once over the assembled network; the report carries the
-            ``LintReport`` and ``EngineTrace`` its violation count and
-            time.
-        lint_rules: restrict the post-pass to these rule ids/prefixes
-            (None runs every source-free rule).
+        max_weight: optional bound on every |w_i| (device weight range);
+            a function needing a larger weight is split instead.
+        lint: run the static lint post-pass (``repro.lint.run_lint``,
+            every rule that needs no source network) once over the
+            assembled network; the report carries the ``LintReport`` and
+            ``EngineTrace`` its violation count and time.
         analyze: run the whole-network dataflow analysis post-pass
             (``repro.analysis``): interval/don't-care fixpoints, verified
             redundancy candidates, and a robustness certificate.  Off by
@@ -94,9 +95,9 @@ class SynthesisOptions:
             before degrading.
         poison_crashes: worker crashes a cone may cause (or witness) before
             it is quarantined and degraded.
-        retry_backoff_s / retry_backoff_max_s: base and cap of the
-            exponential retry backoff (deterministically jittered from
-            ``seed``).
+        retry_backoff_s: base of the exponential retry backoff
+            (deterministically jittered from ``seed``, capped by
+            :class:`~repro.faults.retry.RetryPolicy`).
         watchdog_grace_s: slack past ``deadline_per_cone_s`` before the
             process executor's watchdog kills a wedged worker pool.
         strict_synthesis: raise :class:`SynthesisError` instead of
@@ -115,16 +116,13 @@ class SynthesisOptions:
     gate_model: str = "ltg"
     use_fastpath: bool = True
     max_weight: int | None = None
-    max_collapse_cubes: int = 128
     lint: bool = True
-    lint_rules: tuple[str, ...] | None = None
     analyze: bool = False
     deadline_per_cone_s: float | None = None
     deadline_total_s: float | None = None
     max_attempts: int = 3
     poison_crashes: int = 3
     retry_backoff_s: float = 0.05
-    retry_backoff_max_s: float = 0.5
     watchdog_grace_s: float = 2.0
     strict_synthesis: bool = False
 
@@ -133,6 +131,8 @@ class SynthesisOptions:
             raise SynthesisError("fanin restriction must be at least 2")
         if self.delta_on < 0 or self.delta_off < 0:
             raise SynthesisError("defect tolerances must be non-negative")
+        if self.max_weight is not None and self.max_weight < 1:
+            raise SynthesisError("max_weight must be at least 1 when set")
         for name in ("deadline_per_cone_s", "deadline_total_s"):
             value = getattr(self, name)
             if value is not None and value <= 0:
@@ -143,11 +143,27 @@ class SynthesisOptions:
             raise SynthesisError("poison_crashes must be at least 1")
         from repro.gates import model_names
 
-        if self.gate_model not in model_names():
-            raise SynthesisError(
-                f"unknown gate model {self.gate_model!r} "
-                f"(available: {', '.join(model_names())})"
-            )
+        for name, value, allowed in (
+            ("ILP backend", self.backend, ("auto", *registered_backends())),
+            ("splitting strategy", self.splitting_strategy, STRATEGIES),
+            ("gate model", self.gate_model, tuple(model_names())),
+        ):
+            if value not in allowed:
+                raise SynthesisError(
+                    f"unknown {name} {value!r} "
+                    f"(available: {', '.join(allowed)})"
+                )
+
+
+#: The fields a job-API client may set (``repro.serve.schemas`` derives
+#: their JSON types from the annotations above).  The rest — ablation
+#: knobs, retry and watchdog internals — stay server-side.
+CLIENT_FIELDS = (
+    "psi", "delta_on", "delta_off", "seed", "backend", "gate_model",
+    "splitting_strategy", "use_fastpath", "max_weight", "lint", "analyze",
+    "deadline_per_cone_s", "deadline_total_s", "max_attempts",
+    "strict_synthesis",
+)
 
 
 def _trace_total(name: str) -> property:

@@ -102,11 +102,7 @@ class ConeSynthesizer:
                 self.fault_hook()
             with timed(self.metrics, "collapse_s"):
                 function = collapse_node(
-                    self.work,
-                    name,
-                    self.options.psi,
-                    self.preserved - {name},
-                    max_cubes=self.options.max_collapse_cubes,
+                    self.work, name, self.options.psi, self.preserved - {name}
                 )
             self._process(name, function)
         self.metrics.wall_s = time.perf_counter() - run_started

@@ -156,11 +156,11 @@ def timed(metrics: TaskMetrics, attr: str) -> _Timer:
 class EngineTrace:
     """All task metrics of one engine run, plus run-level aggregates."""
 
+    #: Gate-model backend the run synthesized for (``repro.gates``).
+    gate_model: str
     tasks: list[TaskMetrics] = field(default_factory=list)
     jobs: int = 1
     backend: str = "serial"
-    #: Gate-model backend the run synthesized for (``repro.gates``).
-    gate_model: str = "ltg"
     wall_s: float = 0.0
     #: Findings of the whole-network lint post-pass (None: lint was off).
     network_lint_violations: int | None = None

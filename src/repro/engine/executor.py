@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 from repro.core.identify import ThresholdChecker
 from repro.engine.cone import ConeSynthesizer
-from repro.engine.resilience import Deadline, ResiliencePolicy, TaskFailure
+from repro.engine.resilience import Deadline, TaskFailure
 from repro.engine.store import ResultStore, StoreDelta
 from repro.engine.tasks import SynthTask, TaskResult
 from repro.errors import DeadlineExceeded, InjectedCrash, TransientError
@@ -78,7 +78,6 @@ class ConeRunner:
     options: object  # repro.core.synthesis.SynthesisOptions
     preserved: frozenset[str]
     checker: ThresholdChecker
-    deadline_per_cone_s: float | None = None
     chaos: bool = False
 
     @classmethod
@@ -98,7 +97,6 @@ class ConeRunner:
             options,
             preserved,
             ThresholdChecker.from_options(options, store=store),
-            ResiliencePolicy.from_options(options).deadline_per_cone_s,
             chaos=True,
         )
 
@@ -110,7 +108,7 @@ class ConeRunner:
             self.options,
             self.checker,
             self.preserved,
-            deadline=Deadline.after(self.deadline_per_cone_s),
+            deadline=Deadline.after(self.options.deadline_per_cone_s),
             fault_hook=hook,
         ).run()
         result.metrics.attempts = attempt
@@ -128,15 +126,8 @@ class SerialExecutor:
         options,
         preserved: frozenset[str],
         checker: ThresholdChecker,
-        policy: ResiliencePolicy | None = None,
     ):
-        self._runner = ConeRunner(
-            network,
-            options,
-            preserved,
-            checker,
-            (policy or ResiliencePolicy()).deadline_per_cone_s,
-        )
+        self._runner = ConeRunner(network, options, preserved, checker)
         self._queue: list[tuple[SynthTask, int]] = []
 
     def submit(self, task: SynthTask, attempt: int = 1) -> None:
@@ -229,14 +220,12 @@ class ProcessExecutor:
         preserved: frozenset[str],
         store: ResultStore,
         jobs: int,
-        policy: ResiliencePolicy | None = None,
     ):
         self._network = network
         self._options = options
         self._preserved = preserved
         self._store = store
         self._jobs = jobs
-        self._policy = policy or ResiliencePolicy()
         #: future -> (task, attempt, monotonic submit time)
         self._inflight: dict[Future, tuple[SynthTask, int, float]] = {}
         #: failures minted outside wait() (a submit hitting a broken pool);
@@ -281,7 +270,8 @@ class ProcessExecutor:
             drained = self._pending
             self._pending = []
             return [], drained
-        tick = _WATCHDOG_TICK_S if self._policy.watchdog_needed else None
+        deadline_s = self._options.deadline_per_cone_s
+        tick = _WATCHDOG_TICK_S if deadline_s is not None else None
         done, _pending = futures_wait(
             list(self._inflight), timeout=tick, return_when=FIRST_COMPLETED
         )
@@ -315,11 +305,11 @@ class ProcessExecutor:
         if broken:
             failures.extend(self._evict_all(kind="crash"))
             self._rebuild()
-        elif self._policy.watchdog_needed:
-            failures.extend(self._reap_overdue())
+        elif deadline_s is not None:
+            failures.extend(self._reap_overdue(deadline_s))
         return results, failures
 
-    def _reap_overdue(self) -> list[TaskFailure]:
+    def _reap_overdue(self, deadline_s: float) -> list[TaskFailure]:
         """Kill the pool when a cone overruns deadline + grace.
 
         ProcessPoolExecutor cannot cancel a *running* call, so a worker
@@ -329,10 +319,9 @@ class ProcessExecutor:
         resolved here: overdue ones as ``"timeout"``, the rest as
         ``"evicted"`` (requeued for free by the scheduler).
         """
-        limit = self._policy.deadline_per_cone_s
-        if limit is None or not self._inflight:
+        if not self._inflight:
             return []
-        limit += self._policy.watchdog_grace_s
+        limit = deadline_s + self._options.watchdog_grace_s
         now = time.monotonic()
         overdue = [
             future
@@ -394,7 +383,6 @@ def make_executor(
     preserved: frozenset[str],
     store: ResultStore,
     checker: ThresholdChecker,
-    policy: ResiliencePolicy | None = None,
     distribute: str | None = None,
 ):
     """The backend for a jobs count: inline below 2, process pool above.
@@ -415,11 +403,8 @@ def make_executor(
             preserved,
             store,
             checker,
-            policy,
             jobs=jobs,
         )
     if jobs <= 1:
-        return SerialExecutor(network, options, preserved, checker, policy)
-    return ProcessExecutor(
-        network, options, preserved, store, jobs, policy
-    )
+        return SerialExecutor(network, options, preserved, checker)
+    return ProcessExecutor(network, options, preserved, store, jobs)

@@ -67,7 +67,6 @@ class RemoteExecutor:
         preserved: frozenset[str],
         store,
         checker,
-        policy=None,
         jobs: int = 1,
         worker_wait_s: float | None = None,
     ):
@@ -77,7 +76,6 @@ class RemoteExecutor:
         self._preserved = preserved
         self._store = store
         self._checker = checker
-        self._policy = policy
         self._jobs = max(1, jobs)
         self._worker_wait_s = worker_wait_s
         self._client: WorkClient | None = None
@@ -131,7 +129,6 @@ class RemoteExecutor:
             self._preserved,
             self._store,
             self._checker,
-            self._policy,
         )
 
     def _reroute_unclaimed(self) -> None:

@@ -32,7 +32,6 @@ from repro.core.identify import ThresholdChecker
 from repro.core.mapping import one_to_one_map
 from repro.core.threshold import ThresholdGate
 from repro.errors import DeadlineExceeded, SynthesisError
-from repro.faults.retry import RetryPolicy
 from repro.network.network import BooleanNetwork
 from repro.network.transform import decompose
 
@@ -96,41 +95,6 @@ class DegradedCone(NamedTuple):
     reason: str
 
 
-@dataclass(frozen=True)
-class ResiliencePolicy:
-    """The scheduler's knobs for deadlines, retries, and quarantine."""
-
-    deadline_per_cone_s: float | None = None
-    deadline_total_s: float | None = None
-    max_attempts: int = 3
-    poison_crashes: int = 3
-    strict: bool = False
-    watchdog_grace_s: float = 2.0
-    retry: RetryPolicy = RetryPolicy()
-
-    @classmethod
-    def from_options(cls, options) -> "ResiliencePolicy":
-        """Lift the resilience fields off ``SynthesisOptions``."""
-        return cls(
-            deadline_per_cone_s=getattr(options, "deadline_per_cone_s", None),
-            deadline_total_s=getattr(options, "deadline_total_s", None),
-            max_attempts=getattr(options, "max_attempts", 3),
-            poison_crashes=getattr(options, "poison_crashes", 3),
-            strict=getattr(options, "strict_synthesis", False),
-            watchdog_grace_s=getattr(options, "watchdog_grace_s", 2.0),
-            retry=RetryPolicy(
-                max_attempts=getattr(options, "max_attempts", 3),
-                base_backoff_s=getattr(options, "retry_backoff_s", 0.05),
-                max_backoff_s=getattr(options, "retry_backoff_max_s", 0.5),
-                seed=getattr(options, "seed", 0),
-            ),
-        )
-
-    @property
-    def watchdog_needed(self) -> bool:
-        return self.deadline_per_cone_s is not None
-
-
 def cone_subnetwork(
     source: BooleanNetwork, root: str, preserved: frozenset[str]
 ) -> tuple[BooleanNetwork, tuple[str, ...]]:
@@ -190,7 +154,7 @@ def fallback_cone_gates(
             delta_off=options.delta_off,
             backend=options.backend,
             max_weight=options.max_weight,
-            gate_model=getattr(options, "gate_model", "ltg"),
+            gate_model=options.gate_model,
         )
     try:
         mapped = one_to_one_map(

@@ -34,7 +34,6 @@ from repro.engine.executor import make_executor, resolve_jobs
 from repro.engine.resilience import (
     Deadline,
     DegradedCone,
-    ResiliencePolicy,
     TaskFailure,
     fallback_cone_gates,
 )
@@ -47,6 +46,7 @@ from repro.engine.tasks import (
 )
 from repro.errors import SynthesisCancelled, SynthesisError
 from repro.faults.injector import get_injector
+from repro.faults.retry import RetryPolicy
 from repro.network.network import BooleanNetwork
 
 
@@ -113,20 +113,22 @@ def run_synthesis(
     checker = ThresholdChecker.from_options(options, store=store)
     preserved = preserved_set(network, options.preserve_sharing)
     initial = plan_initial_tasks(network)
-    policy = ResiliencePolicy.from_options(options)
-    total_deadline = Deadline.after(policy.deadline_total_s)
+    retry = RetryPolicy(
+        max_attempts=options.max_attempts,
+        base_backoff_s=options.retry_backoff_s,
+        seed=options.seed,
+    )
+    total_deadline = Deadline.after(options.deadline_total_s)
     # Validate TELS_CHAOS up front: a malformed spec must fail the run
     # loudly, not lie dormant until (or unless) an injection site fires.
     get_injector()
 
     executor = make_executor(
-        jobs, network, options, preserved, store, checker, policy,
+        jobs, network, options, preserved, store, checker,
         distribute=distribute,
     )
     trace = EngineTrace(
-        jobs=jobs,
-        backend=executor.backend_name,
-        gate_model=getattr(options, "gate_model", "ltg"),
+        jobs=jobs, backend=executor.backend_name, gate_model=options.gate_model
     )
     tasks: dict[str, SynthTask] = {}
     results: dict[str, TaskResult] = {}
@@ -187,7 +189,7 @@ def run_synthesis(
         submit_new: bool = True,
     ) -> None:
         """Resolve a failed cone with the one-to-one fallback mapping."""
-        if policy.strict:
+        if options.strict_synthesis:
             raise SynthesisError(
                 f"cone {task_id!r} failed ({reason}"
                 + (f": {detail}" if detail else "")
@@ -219,7 +221,7 @@ def run_synthesis(
             executor.submit(tasks[task_id], failure.attempt)
         elif failure.kind == "crash":
             crashes[task_id] = crashes.get(task_id, 0) + 1
-            if crashes[task_id] >= policy.poison_crashes:
+            if crashes[task_id] >= options.poison_crashes:
                 trace.quarantined.append(task_id)
                 _degrade(
                     task_id, "quarantined", failure.attempt, failure.message
@@ -227,13 +229,13 @@ def run_synthesis(
             else:
                 trace.requeues += 1
                 time.sleep(
-                    policy.retry.backoff_s(failure.attempt, key=task_id)
+                    retry.backoff_s(failure.attempt, key=task_id)
                 )
                 executor.submit(tasks[task_id], failure.attempt + 1)
         elif failure.kind == "timeout":
             _degrade(task_id, "deadline", failure.attempt, failure.message)
         else:  # "error": transient, retry with backoff until exhausted
-            if failure.attempt >= policy.max_attempts:
+            if failure.attempt >= options.max_attempts:
                 _degrade(
                     task_id,
                     "retry-exhausted",
@@ -243,7 +245,7 @@ def run_synthesis(
             else:
                 trace.retries += 1
                 time.sleep(
-                    policy.retry.backoff_s(failure.attempt, key=task_id)
+                    retry.backoff_s(failure.attempt, key=task_id)
                 )
                 executor.submit(tasks[task_id], failure.attempt + 1)
 
@@ -297,7 +299,7 @@ def run_synthesis(
 
     result_net = _assemble(network, initial, results)
     report = SynthesisReport(checker=checker, trace=trace)
-    if getattr(options, "lint", True):
+    if options.lint:
         # The run's one lint pass, over the assembled network after
         # cleanup(): structural and gate-local rules alike, on exactly the
         # gates the run emits, whichever executor produced them.  No
@@ -308,25 +310,18 @@ def run_synthesis(
 
         lint_report = run_lint(
             result_net,
-            LintOptions(
-                psi=options.psi,
-                rules=options.lint_rules,
-                gate_model=getattr(options, "gate_model", "ltg"),
-            ),
+            LintOptions(psi=options.psi, gate_model=options.gate_model),
         )
         report.lint = lint_report
         trace.network_lint_violations = lint_report.violations
         trace.network_lint_s = lint_report.wall_s
-    if getattr(options, "analyze", False):
+    if options.analyze:
         # Whole-network dataflow post-pass: interval/don't-care fixpoints,
         # verified removal candidates, and the robustness certificate.
         from repro.analysis import AnalysisOptions, analyze_threshold_network
 
         analysis = analyze_threshold_network(
-            result_net,
-            AnalysisOptions(
-                gate_model=getattr(options, "gate_model", "ltg")
-            ),
+            result_net, AnalysisOptions(gate_model=options.gate_model)
         )
         report.analysis = analysis
         trace.network_analysis_s = analysis.wall_s

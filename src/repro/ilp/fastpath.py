@@ -155,7 +155,7 @@ def fastpath_check(
 
     Args:
         positive: the positive-unate *minimized prime* cover (every support
-            variable essential — the caller gates on ``minimize_cover``).
+            variable essential — the caller minimizes first).
         off_cubes: cubes of its complement (the maximal false points).
         delta_on / delta_off: the defect tolerances of the ILP.
         max_weight: the per-weight box bound, if any.  With a box, tuple

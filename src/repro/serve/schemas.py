@@ -20,28 +20,28 @@ client, and the journal agree on one shape:
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass, field
 
+from repro.core.synthesis import CLIENT_FIELDS, SynthesisOptions
 from repro.errors import BlifError, ReproError, SynthesisError
 
-#: SynthesisOptions fields settable over the API, with their JSON types.
-#: Everything else (retry/backoff internals, chaos knobs) stays server-side.
+
+def _json_types(annotation) -> tuple[type, ...]:
+    """A field's JSON types: ``float`` also takes ints, ``X | None`` null."""
+    args = typing.get_args(annotation) or (annotation,)
+    accepted: tuple[type, ...] = ()
+    for kind in args:
+        accepted += (int, float) if kind is float else (kind,)
+    return accepted
+
+
+#: The client-settable :data:`~repro.core.synthesis.CLIENT_FIELDS` with
+#: the JSON types each accepts; every other option stays server-side.
 OPTION_FIELDS: dict[str, tuple[type, ...]] = {
-    "psi": (int,),
-    "delta_on": (int,),
-    "delta_off": (int,),
-    "seed": (int,),
-    "backend": (str,),
-    "gate_model": (str,),
-    "splitting_strategy": (str,),
-    "use_fastpath": (bool,),
-    "max_weight": (int, type(None)),
-    "lint": (bool,),
-    "analyze": (bool,),
-    "deadline_per_cone_s": (int, float, type(None)),
-    "deadline_total_s": (int, float, type(None)),
-    "max_attempts": (int,),
-    "strict_synthesis": (bool,),
+    name: _json_types(annotation)
+    for name, annotation in typing.get_type_hints(SynthesisOptions).items()
+    if name in CLIENT_FIELDS
 }
 
 #: Cap on per-job cone worker processes a client may request.
@@ -109,10 +109,8 @@ class JobRequest:
             "use_cache": self.use_cache,
         }
 
-    def build_options(self):
+    def build_options(self) -> SynthesisOptions:
         """Construct the :class:`SynthesisOptions` this request describes."""
-        from repro.core.synthesis import SynthesisOptions
-
         try:
             return SynthesisOptions(**self.options)
         except SynthesisError as exc:

@@ -20,7 +20,6 @@ from repro.core.synthesis import SynthesisOptions
 from repro.core.verify import verify_threshold_network
 from repro.engine.resilience import (
     Deadline,
-    ResiliencePolicy,
     cone_subnetwork,
     fallback_cone_gates,
 )
@@ -71,21 +70,6 @@ class TestDeadline:
         assert deadline.remaining() == 0.0
         with pytest.raises(DeadlineExceeded, match="during cone 'z'"):
             deadline.check("cone 'z'")
-
-    def test_policy_lifts_options(self):
-        options = SynthesisOptions(
-            deadline_per_cone_s=1.5,
-            deadline_total_s=9.0,
-            max_attempts=5,
-            strict_synthesis=True,
-        )
-        policy = ResiliencePolicy.from_options(options)
-        assert policy.deadline_per_cone_s == 1.5
-        assert policy.deadline_total_s == 9.0
-        assert policy.max_attempts == 5
-        assert policy.strict
-        assert policy.watchdog_needed
-        assert not ResiliencePolicy().watchdog_needed
 
 
 class TestFallback:

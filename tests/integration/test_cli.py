@@ -1,5 +1,10 @@
 """Integration tests for the ``tels`` command line."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -251,3 +256,48 @@ class TestSubmit:
         finally:
             app.shutdown()
         assert "analysis" in result
+
+
+class TestOptionChecks:
+    def test_map_rejects_a_negative_tolerance(self, blif_file, capsys):
+        assert main(["map", str(blif_file), "--delta-on", "-1"]) == 2
+        assert "tolerances" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["map", "--gate-model", "flash"],
+            ["submit", "--distribute", "http://127.0.0.1:9"],
+            ["submit", "--cache", "somewhere"],
+            ["suite", "--no-fastpath"],
+        ],
+    )
+    def test_a_flag_the_command_ignores_is_rejected(self, blif_file, argv):
+        command, *flags = argv
+        files = [] if command == "suite" else [str(blif_file)]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *files, *flags])
+        assert exc.value.code == 2
+
+    def test_simulate_writes_the_cache(self, blif_file, tmp_path):
+        from repro.cache.store import cache_file
+
+        cache = tmp_path / "cache"
+        assert main(["simulate", str(blif_file), "--cache", str(cache)]) == 0
+        assert cache_file(cache).stat().st_size > 0
+
+    def test_table1_with_psi_one_exits_2(self):
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "table1", "--psi", "1",
+             "--benchmarks", "cm152a"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr

@@ -102,9 +102,16 @@ class TestErrorPaths:
             assert option in str(err.value)
 
     def test_bad_option_value_is_400(self, client, small_blif):
-        with pytest.raises(ServeClientError) as err:
-            client.submit(small_blif, options={"psi": "three"})
-        assert err.value.status == 400
+        for options in (
+            {"psi": "three"},
+            {"backend": "bogus"},
+            {"splitting_strategy": "bogus"},
+            {"max_weight": 0},
+        ):
+            with pytest.raises(ServeClientError) as err:
+                client.submit(small_blif, options=options)
+            assert err.value.status == 400, options
+            assert err.value.code == "bad-options", options
 
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ServeClientError) as err:
