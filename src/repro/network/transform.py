@@ -503,6 +503,11 @@ def decompose(
     """
     if style not in ("factored", "sop"):
         raise NetworkError(f"unknown decomposition style {style!r}")
+    if max_fanin != 0 and max_fanin < 2:
+        # A bound of 1 (or below) never shrinks an operand list.
+        raise NetworkError(
+            f"max_fanin must be 0 (unbounded) or at least 2, not {max_fanin}"
+        )
     inverters: dict[str, str] = {}
     inv = inverters if inverter_gates else None
     for node in list(network.node_names):

@@ -1,6 +1,9 @@
 """Unit tests for the network restructuring transforms."""
 
+import pytest
+
 from repro.boolean.function import BooleanFunction
+from repro.errors import NetworkError
 from repro.network.network import BooleanNetwork
 from repro.network.simulate import equivalent_networks
 from repro.network.transform import (
@@ -328,6 +331,12 @@ class TestDecompose:
             and net.function(n).cover.cubes[0].neg
         ]
         assert len(inverters) == 1  # a' created once, shared
+
+    @pytest.mark.parametrize("bound", [1, -1])
+    def test_fanin_bound_below_two_is_rejected(self, bound):
+        # Groups of one never shorten the operand list: it used to loop.
+        with pytest.raises(NetworkError, match="max_fanin"):
+            decompose(random_network(303), max_fanin=bound)
 
     def test_equivalence_fuzz(self):
         for seed in range(10):
