@@ -14,7 +14,7 @@ from repro.boolean.factor import factor
 from repro.boolean.kernels import kernels
 from repro.boolean.minimize import minimize
 from repro.network.scripts import script_algebraic
-from repro.network.simulate import random_pi_words, simulate_words
+from repro.network.simulate import random_pi_vectors, simulate_vectors
 
 
 def _random_covers(count, nvars, cubes, seed=0):
@@ -82,8 +82,8 @@ def test_benchmark_factor(benchmark):
 def test_benchmark_bit_parallel_simulation(benchmark):
     net = build_benchmark("comp")
     rng = random.Random(0)
-    words = random_pi_words(net, 4096, rng)
-    benchmark(lambda: simulate_words(net, words, 4096))
+    vecs = random_pi_vectors(net, 4096, rng)
+    benchmark(lambda: simulate_vectors(net, vecs, 4096))
 
 
 def test_benchmark_script_algebraic(benchmark):

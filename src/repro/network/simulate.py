@@ -6,10 +6,6 @@ pass over a network evaluate thousands of vectors at once — the workhorse
 behind functional validation of synthesized threshold networks (Section VI
 of the paper: "all the synthesized networks were simulated for functional
 correctness").
-
-The historical integer-word API (``simulate_words`` and friends, using
-Python ints as bit-vectors) is kept as a thin compatibility layer over the
-BitVec core; new code should prefer the ``*_vectors`` functions.
 """
 
 from __future__ import annotations
@@ -157,47 +153,6 @@ def equivalent_threshold_networks(
     va = simulate_threshold_vectors(a, vecs, width)
     vb = simulate_threshold_vectors(b, vecs, width)
     return all(va[o] == vb[o] for o in a.outputs)
-
-
-# ----------------------------------------------------------------------
-# Integer-word compatibility layer
-# ----------------------------------------------------------------------
-def eval_function_words(
-    function: BooleanFunction, words: Mapping[str, int], mask: int
-) -> int:
-    """Evaluate an SOP function over integer bit-vector words."""
-    width = mask.bit_length()
-    vecs = {
-        name: BitVec.from_int(words[name], width)
-        for name in function.variables
-    }
-    return eval_function_vectors(function, vecs, width).to_int()
-
-
-def simulate_words(
-    network: BooleanNetwork, pi_words: Mapping[str, int], width: int
-) -> dict[str, int]:
-    """Simulate every signal over ``width`` parallel vectors (int words)."""
-    mask = (1 << width) - 1
-    pi_vecs = {
-        name: BitVec.from_int(pi_words[name] & mask, width)
-        for name in network.inputs
-    }
-    vecs = simulate_vectors(network, pi_vecs, width)
-    return {name: vec.to_int() for name, vec in vecs.items()}
-
-
-def random_pi_words(
-    network: BooleanNetwork, width: int, rng: random.Random
-) -> dict[str, int]:
-    """Independent uniform random bit-vectors for every primary input."""
-    return {name: rng.getrandbits(width) for name in network.inputs}
-
-
-def exhaustive_pi_words(network: BooleanNetwork) -> tuple[dict[str, int], int]:
-    """PI words enumerating *all* input combinations (use when #PI is small)."""
-    vecs, width = exhaustive_pi_vectors(network)
-    return {name: vec.to_int() for name, vec in vecs.items()}, width
 
 
 # ----------------------------------------------------------------------

@@ -2,15 +2,16 @@
 
 import random
 
+from repro.boolean.bitset import BitVec
 from repro.boolean.function import BooleanFunction
 from repro.network.network import BooleanNetwork
 from repro.network.simulate import (
     equivalent_networks,
-    eval_function_words,
-    exhaustive_pi_words,
+    eval_function_vectors,
+    exhaustive_pi_vectors,
     output_signatures,
-    random_pi_words,
-    simulate_words,
+    random_pi_vectors,
+    simulate_vectors,
 )
 from tests.conftest import random_network
 
@@ -25,47 +26,45 @@ def tiny_net():
 
 
 class TestWordEvaluation:
+    """Evaluation over packed BitVec words: bit k is vector k."""
+
     def test_eval_function_words(self):
         f = BooleanFunction.parse("a b'")
-        words = {"a": 0b1100, "b": 0b1010}
-        assert eval_function_words(f, words, 0b1111) == 0b0100
+        vecs = {"a": BitVec.from_int(0b1100, 4), "b": BitVec.from_int(0b1010, 4)}
+        assert eval_function_vectors(f, vecs, 4).to_int() == 0b0100
 
     def test_simulate_words_matches_pointwise(self):
         net = random_network(5)
         rng = random.Random(0)
         width = 64
-        words = random_pi_words(net, width, rng)
-        sim = simulate_words(net, words, width)
+        vecs = random_pi_vectors(net, width, rng)
+        sim = simulate_vectors(net, vecs, width)
         for k in (0, 13, 63):
-            assignment = {
-                name: bool((words[name] >> k) & 1) for name in net.inputs
-            }
+            assignment = {name: vecs[name].test(k) for name in net.inputs}
             truth = net.evaluate_all(assignment)
             for out in net.outputs:
-                assert bool((sim[out] >> k) & 1) == truth[out]
+                assert sim[out].test(k) == truth[out]
 
 
 class TestExhaustiveWords:
     def test_patterns_enumerate_all_points(self):
         net = tiny_net()
-        words, width = exhaustive_pi_words(net)
+        vecs, width = exhaustive_pi_vectors(net)
         assert width == 4
         seen = set()
         for k in range(width):
-            point = tuple(
-                (words[name] >> k) & 1 for name in net.inputs
-            )
+            point = tuple(vecs[name].test(k) for name in net.inputs)
             seen.add(point)
         assert len(seen) == 4
 
     def test_exhaustive_simulation_equals_truth_table(self):
         net = tiny_net()
-        words, width = exhaustive_pi_words(net)
-        sim = simulate_words(net, words, width)
+        vecs, width = exhaustive_pi_vectors(net)
+        sim = simulate_vectors(net, vecs, width)
         for k in range(width):
-            a = bool((words["a"] >> k) & 1)
-            b = bool((words["b"] >> k) & 1)
-            assert bool((sim["f"] >> k) & 1) == (a and not b)
+            a = vecs["a"].test(k)
+            b = vecs["b"].test(k)
+            assert sim["f"].test(k) == (a and not b)
 
 
 class TestEquivalence:
