@@ -21,7 +21,6 @@ from repro.core.mapping import one_to_one_map
 from repro.core.area import network_stats, NetworkStats
 from repro.core.verify import verify_threshold_network
 from repro.core.analysis import NetworkAnalysis, analyze_network
-from repro.core.optimize import peephole_optimize
 
 __all__ = [
     "ThresholdGate",
@@ -37,5 +36,4 @@ __all__ = [
     "verify_threshold_network",
     "NetworkAnalysis",
     "analyze_network",
-    "peephole_optimize",
 ]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.optimize import peephole_optimize
+from tests.core.peephole import peephole_optimize
 from repro.core.synthesis import SynthesisOptions, synthesize
 from repro.core.threshold import (
     ThresholdGate,
