@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro.benchgen.extended import build_extended_benchmark
 from repro.benchgen.paper_examples import motivational_network
 from repro.core.synthesis import SynthesisOptions
+from repro.core.verify import verify_threshold_network
 from repro.engine.scheduler import run_synthesis
 from repro.network.scripts import prepare_tels
 from repro.serve.schemas import report_to_dict, validate_options
@@ -39,6 +43,16 @@ class TestEnginePostPass:
         summary = result.trace.format_summary()
         assert "analysis:" in summary
         assert "verified removal" in summary
+
+    @pytest.mark.parametrize("name", ["cm152a", "cm85a", "cmb", "comp"])
+    def test_table1_subset_has_no_unverified_finding(self, name):
+        source = build_extended_benchmark(name)
+        result = run_synthesis(
+            prepare_tels(source), SynthesisOptions(psi=3, analyze=True)
+        )
+        assert verify_threshold_network(source, result.network, vectors=256)
+        assert result.report.degraded_cones == 0
+        assert result.report.analysis.unverified_findings == []
 
 
 class TestServeSchema:

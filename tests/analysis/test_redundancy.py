@@ -65,6 +65,7 @@ class TestVerifyRemovals:
 class TestApplyRemovals:
     def test_apply_preserves_equivalence(self, stressor):
         result = analyze_threshold_network(stressor)
+        assert result.unverified_findings == []
         rewritten, applied = apply_removals(
             stressor, result.verified_findings
         )

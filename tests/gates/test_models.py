@@ -199,3 +199,77 @@ class TestEngineAbsorption:
         mt_gates, mt_hits = results["multi-threshold"]
         assert mt_hits >= 1
         assert mt_gates < ltg_gates
+
+
+class TestParmixStressor:
+    """``parmix`` under every gate model: psi=9, sharing off, fresh store.
+
+    The stressor holds a parity cone, a 9-support threshold cone and a
+    unate non-threshold cone, so each model meets the paths it changes.
+    """
+
+    MODELS = ("ltg", "multi-threshold", "flash")
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        from repro.benchgen.extended import build_extended_benchmark
+        from repro.core.synthesis import (
+            SynthesisOptions,
+            synthesize_with_report,
+        )
+        from repro.engine.store import ResultStore
+        from repro.network.scripts import prepare_tels
+
+        source = build_extended_benchmark("parmix")
+        prepared = prepare_tels(source)
+        results = {
+            model: synthesize_with_report(
+                prepared,
+                SynthesisOptions(
+                    psi=9,
+                    gate_model=model,
+                    preserve_sharing=False,
+                    analyze=True,
+                ),
+                store=ResultStore(),
+            )
+            for model in self.MODELS
+        }
+        return source, results
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_verified_without_degraded_cones(self, runs, model):
+        from repro.core.verify import verify_threshold_network
+
+        source, results = runs
+        network, report = results[model]
+        assert verify_threshold_network(source, network, vectors=256)
+        assert report.degraded_cones == 0
+
+    def test_ltg_reaches_the_ilp_and_refutes_a_cone(self, runs):
+        # The 9-support cone is past the fast path's Chow bound; the
+        # unate non-threshold cone falls to the 2-monotonicity screen.
+        _, results = runs
+        stats = results["ltg"][1].checker.stats
+        assert stats.ilp_solved > 0
+        assert stats.fastpath_negatives > 0
+
+    def test_multi_threshold_needs_fewer_gates_than_ltg(self, runs):
+        from repro.core.area import network_stats
+
+        _, results = runs
+        ltg = network_stats(results["ltg"][0]).gates
+        assert network_stats(results["multi-threshold"][0]).gates < ltg
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_no_unverified_finding_and_lint_clean(self, runs, model):
+        from repro.lint.diagnostics import LintOptions
+        from repro.lint.runner import run_lint
+
+        source, results = runs
+        network, report = results[model]
+        assert report.analysis.unverified_findings == []
+        lint = run_lint(
+            network, LintOptions(psi=9, gate_model=model), source=source
+        )
+        assert lint.violations == 0, lint.by_rule()
