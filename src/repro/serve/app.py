@@ -381,7 +381,7 @@ class ServeApp:
 
     ``port=0`` binds an ephemeral port (tests); :attr:`port` reports the
     bound value.  :meth:`start_background` runs the accept loop in a
-    daemon thread (tests, embedding); :meth:`serve_forever` blocks (CLI).
+    daemon thread (CLI, tests, embedding).
     """
 
     def __init__(
@@ -418,13 +418,6 @@ class ServeApp:
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
-
-    def serve_forever(self) -> None:
-        logger.info("tels serve listening on %s", self.url)
-        try:
-            self.httpd.serve_forever(poll_interval=0.2)
-        finally:
-            self.shutdown()
 
     def start_background(self) -> threading.Thread:
         thread = threading.Thread(
