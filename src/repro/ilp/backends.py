@@ -10,7 +10,7 @@ library, a SAT translation, a remote service) is one class + one
 Every solve is wrapped in a :class:`SolveAttempt` (backend, status, wall
 time) and the dispatch layer aggregates attempts into a :class:`SolveInfo`,
 which is what threads per-backend telemetry up through the checker, the
-engine trace, the CLI summary, and ``BENCH_synth.json``.
+engine trace, and the CLI summary.
 """
 
 from __future__ import annotations
