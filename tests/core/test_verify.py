@@ -1,5 +1,7 @@
 """Unit tests for functional validation of threshold networks."""
 
+import random
+
 from repro.boolean.function import BooleanFunction
 from repro.core.synthesis import SynthesisOptions, synthesize
 from repro.core.threshold import (
@@ -7,8 +9,17 @@ from repro.core.threshold import (
     ThresholdNetwork,
     WeightThresholdVector,
 )
+from repro.core.defects import (
+    DefectTrialResult,
+    perturb_weights,
+    run_defect_trial,
+)
 from repro.core.verify import first_mismatch, verify_threshold_network
 from repro.network.network import BooleanNetwork
+from repro.network.simulate import (
+    equivalent_threshold_networks,
+    random_pi_vectors,
+)
 from tests.conftest import random_network
 
 
@@ -67,3 +78,109 @@ class TestVerify:
         net = source_and()
         th = synthesize(net, SynthesisOptions())
         assert first_mismatch(net, th) is None
+
+
+def wide_gate_pair(threshold: int = 1):
+    """A fanin-17 gate ``w = <1 x16, -1; T>(x0..x16)`` read by
+    ``f = w AND y``, and the SOP network it implements at ``T = 1``:
+    ``x16' (x0 + ... + x15) + x16 (two of x0..x15)``."""
+    xs = [f"x{i}" for i in range(17)]
+    th = ThresholdNetwork("wide17")
+    source = BooleanNetwork("wide17")
+    for name in (*xs, "y"):
+        th.add_input(name)
+        source.add_input(name)
+    vector = WeightThresholdVector((1,) * 16 + (-1,), threshold)
+    th.add_gate(ThresholdGate("w", tuple(xs), vector))
+    th.add_gate(
+        ThresholdGate("f", ("w", "y"), WeightThresholdVector((1, 1), 2))
+    )
+    cubes = [f"x16' {x}" for x in xs[:16]] + [
+        f"x16 {a} {b}" for i, a in enumerate(xs[:16]) for b in xs[i + 1 : 16]
+    ]
+    source.add_node("w", BooleanFunction.parse(" + ".join(cubes)))
+    source.add_node("f", BooleanFunction.parse("w y"))
+    for out in ("w", "f"):
+        th.add_output(out)
+        source.add_output(out)
+    return source, th
+
+
+def noisy_outputs(th, noise, point):
+    """Per-point reference of a disturbed network: each gate fires on
+    the sum of its disturbed weights over its 1-valued fanins."""
+    values = dict(point)
+    for name in th.topological_order():
+        gate = th.gate(name)
+        total = 0
+        for w, n, fanin in zip(gate.weights, noise[name], gate.inputs):
+            if values[fanin]:
+                total += float(w) + float(n)
+        values[name] = gate.vector.fires(total)
+    return {o: values[o] for o in th.outputs}
+
+
+class TestWideGate:
+    """A gate wider than any packed truth table, checked against the
+    per-point ``ThresholdNetwork.evaluate``."""
+
+    VECTORS = 512
+
+    def points(self, source, seed=0):
+        rng = random.Random(seed)
+        vecs = random_pi_vectors(source, self.VECTORS, rng)
+        return [
+            {name: vecs[name].test(k) for name in source.inputs}
+            for k in range(self.VECTORS)
+        ]
+
+    def test_verify_agrees_with_evaluate(self):
+        source, th = wide_gate_pair()
+        points = self.points(source)
+        for point in points[:64]:
+            assert th.evaluate(point) == source.evaluate(point)
+        assert verify_threshold_network(source, th, vectors=self.VECTORS)
+        _, broken = wide_gate_pair(threshold=2)
+        assert any(
+            broken.evaluate(p) != source.evaluate(p) for p in points
+        )
+        assert not verify_threshold_network(
+            source, broken, vectors=self.VECTORS
+        )
+        witness = first_mismatch(source, broken, vectors=self.VECTORS)
+        assert broken.evaluate(witness) != source.evaluate(witness)
+
+    def test_equivalence_agrees_with_evaluate(self):
+        source, th = wide_gate_pair()
+        _, same = wide_gate_pair()
+        _, broken = wide_gate_pair(threshold=2)
+        assert equivalent_threshold_networks(th, same, vectors=self.VECTORS)
+        assert not equivalent_threshold_networks(
+            th, broken, vectors=self.VECTORS
+        )
+        assert any(
+            th.evaluate(p) != broken.evaluate(p) for p in self.points(source)
+        )
+
+    def test_defect_trial_agrees_with_per_point_sums(self):
+        source, th = wide_gate_pair()
+        clean = run_defect_trial(
+            source, th, 0.0, random.Random(3), vectors=self.VECTORS
+        )
+        assert clean == DefectTrialResult(False, 0, 2 * self.VECTORS)
+        for seed in range(3):
+            result = run_defect_trial(
+                source, th, 0.9, random.Random(seed), vectors=self.VECTORS
+            )
+            # Replay the trial's draws: its vectors, then its noise.
+            rng = random.Random(seed)
+            vecs = random_pi_vectors(source, self.VECTORS, rng)
+            noise = perturb_weights(th, 0.9, rng)
+            wrong = 0
+            for k in range(self.VECTORS):
+                point = {name: vecs[name].test(k) for name in source.inputs}
+                want = th.evaluate(point)
+                got = noisy_outputs(th, noise, point)
+                wrong += sum(got[o] != want[o] for o in th.outputs)
+            assert result.wrong_vectors == wrong
+            assert result.failed == (wrong > 0)
