@@ -32,15 +32,10 @@ from repro.core.threshold import (
     ThresholdGate,
     ThresholdNetwork,
     WeightThresholdVector,
+    make_constant_vector,
 )
 from repro.network.network import BooleanNetwork
 from repro.network.simulate import equivalent_threshold_networks
-
-#: Zero-fanin constant vectors: ``<;0>`` fires on the empty sum
-#: (``0 >= 0``), ``<;1>`` never does.
-CONST_ONE = WeightThresholdVector((), 0)
-CONST_ZERO = WeightThresholdVector((), 1)
-
 
 @dataclass(frozen=True)
 class RemovalFinding:
@@ -96,10 +91,13 @@ def _drop_fanin(gate: ThresholdGate, fanin: str) -> ThresholdGate:
 
 
 def _constant_gate(gate: ThresholdGate, value: int) -> ThresholdGate:
+    """The gate as a zero-fanin constant that keeps its tolerances."""
     return dc_replace(
         gate,
         inputs=(),
-        vector=CONST_ONE if value else CONST_ZERO,
+        vector=make_constant_vector(
+            bool(value), 0, gate.delta_on, gate.delta_off
+        ),
     )
 
 

@@ -33,7 +33,11 @@ from repro.boolean.cover import Cover
 from repro.boolean.function import BooleanFunction
 from repro.boolean.minimize import minimize
 from repro.boolean.unate import syntactic_unateness, to_positive_unate
-from repro.core.threshold import GateVector, WeightThresholdVector
+from repro.core.threshold import (
+    GateVector,
+    WeightThresholdVector,
+    make_constant_vector,
+)
 from repro.errors import CoverError
 from repro.ilp.backends import SolveInfo
 from repro.ilp.fastpath import FastpathStatus, fastpath_check
@@ -288,10 +292,11 @@ class ThresholdChecker:
     ) -> WeightThresholdVector | None:
         nvars = cover.nvars
         # Constants: vacuous threshold gates.
+        tolerances = (self.delta_on, self.delta_off)
         if cover.is_zero():
-            return WeightThresholdVector((0,) * nvars, self.delta_on + 1)
+            return make_constant_vector(False, nvars, *tolerances)
         if cover.is_tautology():
-            return WeightThresholdVector((0,) * nvars, -self.delta_on if self.delta_on else 0)
+            return make_constant_vector(True, nvars, *tolerances)
         analysis = self._analysis(cover, canonical)
         if analysis is None:
             return None

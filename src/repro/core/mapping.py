@@ -11,7 +11,11 @@ ILP provides.
 from __future__ import annotations
 
 from repro.core.identify import ThresholdChecker
-from repro.core.threshold import ThresholdGate, ThresholdNetwork
+from repro.core.threshold import (
+    ThresholdGate,
+    ThresholdNetwork,
+    make_constant_vector,
+)
 from repro.errors import SynthesisError
 from repro.network.network import BooleanNetwork
 
@@ -41,10 +45,8 @@ def one_to_one_map(
     for node in network.topological_order():
         function = network.function(node).trimmed()
         if function.nvars == 0:
-            from repro.core.threshold import WeightThresholdVector
-
             value = not function.cover.is_zero()
-            vector = WeightThresholdVector((), 0 if value else 1 + delta_on)
+            vector = make_constant_vector(value, 0, delta_on, delta_off)
             result.add_gate(
                 ThresholdGate(node, (), vector, delta_on, delta_off)
             )

@@ -31,6 +31,7 @@ from repro.core.threshold import (
     GateVector,
     ThresholdGate,
     WeightThresholdVector,
+    make_constant_vector,
 )
 from repro.engine.events import TaskMetrics, timed
 from repro.engine.tasks import TaskResult
@@ -416,13 +417,13 @@ class ConeSynthesizer:
         return name
 
     def _emit_constant(self, name: str, value: bool) -> None:
-        threshold = 0 if value else 1 + self.options.delta_on
+        delta_on, delta_off = self.options.delta_on, self.options.delta_off
         gate = ThresholdGate(
             name,
             (),
-            WeightThresholdVector((), threshold),
-            self.options.delta_on,
-            self.options.delta_off,
+            make_constant_vector(value, 0, delta_on, delta_off),
+            delta_on,
+            delta_off,
         )
         self.gates.append(gate)
         self.metrics.gates_emitted += 1

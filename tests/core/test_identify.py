@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from repro.boolean.cover import Cover
 from repro.boolean.function import BooleanFunction
 from repro.core.identify import ThresholdChecker, is_threshold_function
@@ -111,6 +113,21 @@ class TestDefectTolerances:
                         assert total >= vec.threshold + delta_on
                     else:
                         assert total <= vec.threshold - 1
+
+    @pytest.mark.parametrize(
+        "delta_on,delta_off", [(0, 1), (1, 1), (0, 3), (2, 3), (3, 2)]
+    )
+    def test_constants_respect_deltas(self, delta_on, delta_off):
+        checker = ThresholdChecker(delta_on=delta_on, delta_off=delta_off)
+        zero = checker.check(Cover.zero(2))
+        one = checker.check(Cover.from_strings(["--"]))
+        assert zero.table().is_zero() and one.table().is_ones()
+        on_margin, off_margin = zero.margins()
+        assert on_margin is None and off_margin >= delta_off
+        on_margin, off_margin = one.margins()
+        assert on_margin >= delta_on and off_margin is None
+        if (delta_on, delta_off) == (0, 1):
+            assert (str(zero), str(one)) == ("<0, 0; 1>", "<0, 0; 0>")
 
 
 class TestSoundness:

@@ -1,5 +1,7 @@
 """Tests for the experiment harnesses (fast subsets of E1-E4)."""
 
+import pytest
+
 from repro.experiments.fig10 import format_fig10, run_fig10
 from repro.experiments.fig11 import format_fig11, run_fig11
 from repro.experiments.fig12 import format_fig12, run_fig12
@@ -24,6 +26,23 @@ class TestFlows:
     def test_gate_reduction_sign(self):
         flow = run_flows("cm152a", psi=3)
         assert flow.gate_reduction_percent > 0
+
+
+class TestConstantGates:
+    """term1 has constant nodes: their zero-fanin gates must meet raised
+    tolerances too, or the flow's lint post-pass rejects the network."""
+
+    @pytest.mark.parametrize("delta_on,delta_off", [(1, 1), (2, 1), (0, 3)])
+    def test_term1_flows_meet_tolerances(self, delta_on, delta_off):
+        flow = run_flows("term1", delta_on=delta_on, delta_off=delta_off)
+        constants = 0
+        for network in (flow.tels, flow.one_to_one):
+            for gate in network.gates():
+                on_margin, off_margin = gate.margins()
+                assert on_margin is None or on_margin >= delta_on, gate
+                assert off_margin is None or off_margin >= delta_off, gate
+                constants += gate.fanin == 0
+        assert constants > 0
 
 
 class TestTable1:
