@@ -299,6 +299,41 @@ class TestSemanticRules:
         right = network(("a", "b"), ("y",), (and2("y"),))
         assert not rule_ids(run_lint(right, source=source), "TLM105")
 
+    @pytest.mark.parametrize(
+        "source_inputs,inputs,output,expected",
+        [
+            ("a b", ("a", "b", "z"), "y", ["inputs only in the network: z"]),
+            ("a b z", ("a", "b"), "y", ["inputs only in the source: z"]),
+            (
+                "a b",
+                ("a", "b"),
+                "w",
+                [
+                    "outputs only in the source: y",
+                    "outputs only in the network: w",
+                ],
+            ),
+        ],
+        ids=["network-input", "source-input", "renamed-output"],
+    )
+    def test_tlm105_names_an_interface_mismatch(
+        self, source_inputs, inputs, output, expected
+    ):
+        from repro.io.blif import parse_blif
+
+        source = parse_blif(
+            f".model s\n.inputs {source_inputs}\n.outputs y\n"
+            ".names a b y\n11 1\n.end\n"
+        )
+        report = run_lint(
+            network(inputs, (output,), (and2(output),)), source=source
+        )
+        (diag,) = rule_ids(report, "TLM105")
+        assert "interface" in diag.message
+        for text in expected:
+            assert text in diag.message
+        assert "counterexample" not in diag.message
+
 
 class TestLintGates:
     """Gate-local rules over a bare gate list, through the network pass."""
