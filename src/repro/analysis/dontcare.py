@@ -5,15 +5,16 @@ Two complementary questions about every gate:
 * **observability** — on which input vectors does the rest of the network
   actually *notice* the gate's value?  Computed exactly by fault
   injection on the packed substrate: simulate once, then per gate flip
-  its signal (``forced=``) and resimulate its transitive fanout cone; the
-  OR over primary outputs of ``base XOR flipped`` is the gate's
-  observability mask.  A gate whose mask is all-zero is dead weight even
-  though it is structurally connected.
+  its signal and resimulate its transitive fanout cone; the OR over
+  primary outputs of ``base XOR flipped`` is the gate's observability
+  mask.  A gate whose mask is all-zero is dead weight even though it is
+  structurally connected.
 * **controllability** — which of a gate's ``2^fanin`` local input
   combinations are *reachable*?  Read directly off the exhaustive base
   simulation: every simulation vector contributes the minterm formed by
-  its fanin bits.  Unreachable minterms are satisfiability don't-cares
-  the redundancy analysis may exploit.
+  its fanin bits, found by ANDing the packed fanin signals.  Unreachable
+  minterms are satisfiability don't-cares the redundancy analysis may
+  exploit.
 
 Both are exact only while the network is exhaustively simulable
 (``#PI <= max_table_vars``, default :data:`~repro.boolean.bitset.MAX_TABLE_VARS`).
@@ -28,15 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.analysis.interval import IntervalResult
 from repro.boolean.bitset import MAX_TABLE_VARS, BitVec
-from repro.boolean.function import BooleanFunction
 from repro.core.threshold import ThresholdNetwork
 from repro.network.simulate import (
-    eval_function_vectors,
-    exhaustive_threshold_pi_vectors,
+    eval_gate_vectors,
+    exhaustive_pi_vectors,
     simulate_threshold_vectors,
 )
 
@@ -80,24 +78,30 @@ def _fanout_cones(network: ThresholdNetwork) -> dict[str, set[str]]:
     return cones
 
 
-def _minterm_indices(
-    gate_inputs: tuple[str, ...], vecs: dict[str, BitVec]
-) -> np.ndarray:
-    """Per-vector local minterm index of one gate's fanin bits."""
-    total = np.zeros(0, dtype=np.uint32)
-    for i, fanin in enumerate(gate_inputs):
-        bits = np.asarray(vecs[fanin].to_bool_array(), dtype=np.uint32)
-        if total.shape != bits.shape:
-            total = np.zeros_like(bits)
-        total |= bits << np.uint32(i)
-    return total
+def _reached_minterms(
+    fanins: list[BitVec], observable: BitVec
+) -> tuple[int, int]:
+    """Masks of the local minterms some vector reaches, and of those some
+    vector reaches where ``observable`` is set.
 
-
-def _mask_of(minterms: np.ndarray) -> int:
-    mask = 0
-    for m in np.unique(minterms):
-        mask |= 1 << int(m)
-    return mask
+    Splits the vectors on each fanin in turn, one AND per branch, and
+    drops empty branches, so only reached minterm prefixes cost work.
+    """
+    care = care_observable = 0
+    pending = [(BitVec.ones(observable.width).words, 0, 0)]
+    while pending:
+        hits, var, minterm = pending.pop()
+        if var == len(fanins):
+            care |= 1 << minterm
+            if hits & observable.words:
+                care_observable |= 1 << minterm
+            continue
+        x = fanins[var].words
+        if hits & x:
+            pending.append((hits & x, var + 1, minterm | 1 << var))
+        if hits & ~x:
+            pending.append((hits & ~x, var + 1, minterm))
+    return care, care_observable
 
 
 def _abstract_care(
@@ -142,13 +146,10 @@ def dontcare_analysis(
             exact=False, care=care, care_observable=dict(care)
         )
 
-    vecs, width = exhaustive_threshold_pi_vectors(network)
+    vecs, width = exhaustive_pi_vectors(network)
     base = simulate_threshold_vectors(network, vecs, width)
     order = network.topological_order()
     cones = _fanout_cones(network)
-    local: dict[str, BooleanFunction] = {
-        name: network.gate(name).local_function() for name in order
-    }
     outputs = tuple(network.outputs)
 
     result = DontCareResult(exact=True, width=width)
@@ -161,14 +162,10 @@ def dontcare_analysis(
         sim: dict[str, BitVec] = dict(base)
         sim[name] = base[name].invert()
         for member in order:
-            if member not in cone:
-                continue
-            member_gate = network.gate(member)
-            if member_gate.fanin == 0:
-                continue
-            sim[member] = eval_function_vectors(
-                local[member], sim, width
-            )
+            if member in cone:
+                sim[member] = eval_gate_vectors(
+                    network.gate(member), sim, width
+                )
         result.resimulations += 1
         observable = BitVec.zeros(width)
         for out in outputs:
@@ -176,19 +173,8 @@ def dontcare_analysis(
         result.observable[name] = observable
         if observable.is_zero():
             unobservable.append(name)
-
-        if gate.fanin:
-            minterms = _minterm_indices(gate.inputs, base)
-            result.care[name] = _mask_of(minterms)
-            obs_arr = np.asarray(observable.to_bool_array(), dtype=bool)
-            seen = minterms[obs_arr]
-            result.care_observable[name] = (
-                _mask_of(seen) if seen.size else 0
-            )
-        else:
-            result.care[name] = 1
-            result.care_observable[name] = (
-                0 if observable.is_zero() else 1
-            )
+        result.care[name], result.care_observable[name] = _reached_minterms(
+            [base[fanin] for fanin in gate.inputs], observable
+        )
     result.unobservable_gates = tuple(unobservable)
     return result

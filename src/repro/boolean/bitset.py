@@ -22,22 +22,17 @@ library's hot paths are built on:
 * weighted-sum enumeration over all input points
   (:func:`weighted_sums`), the workhorse of gate margin checks,
   multi-threshold placement, and cache vector re-verification;
-* N-point evaluation of SOP functions over packed simulation words
-  (:func:`eval_cover_vecs`), the inner loop of network simulation.
+* N-point evaluation over packed simulation words, of SOP functions
+  (:func:`eval_cover_vecs`, the inner loop of Boolean-network simulation)
+  and of packed truth tables (:func:`eval_table_vecs`, the inner loop of
+  threshold-network simulation).
 
-numpy is needed only by :meth:`BitVec.to_bool_array` and
-:meth:`BitVec.from_bool_array`, the bridge to the array code of the
-synthesis side; everything else runs without it.
+Nothing here needs numpy.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-
-try:  # pragma: no cover - exercised by the CI no-numpy job
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 #: Widest truth table the packed kernels build (2**16 bits = 8 KiB);
 #: wider functions stay on the recursive cover algebra.
@@ -110,26 +105,6 @@ class BitVec:
     def to_bits(self) -> list[int]:
         value = self.words
         return [(value >> k) & 1 for k in range(self.width)]
-
-    def to_bool_array(self):
-        """A numpy bool array of the bits (requires numpy)."""
-        if _np is None:
-            raise RuntimeError("to_bool_array requires numpy")
-        raw = self.words.to_bytes((self.width + 7) // 8, "little")
-        bits = _np.unpackbits(
-            _np.frombuffer(raw, dtype=_np.uint8), bitorder="little"
-        )
-        return bits[: self.width].astype(bool)
-
-    @classmethod
-    def from_bool_array(cls, array) -> "BitVec":
-        """Pack a numpy bool/0-1 array (requires numpy)."""
-        if _np is None:
-            raise RuntimeError("from_bool_array requires numpy")
-        array = _np.asarray(array).astype(_np.uint8)
-        width = int(array.shape[0])
-        packed = _np.packbits(array, bitorder="little").tobytes()
-        return cls.from_int(int.from_bytes(packed, "little"), width)
 
     # ------------------------------------------------------------------
     # Bitwise algebra
@@ -329,7 +304,7 @@ def fires_table(sums: Sequence[int | float], threshold: int) -> BitVec:
 
 
 # ----------------------------------------------------------------------
-# Packed N-point SOP evaluation (network simulation inner loop)
+# Packed N-point evaluation (network simulation inner loops)
 # ----------------------------------------------------------------------
 
 
@@ -360,3 +335,33 @@ def eval_cover_vecs(
             if result == full:
                 break
     return BitVec(width, result)
+
+
+def eval_table_vecs(
+    table: BitVec, fanin_vecs: Sequence[BitVec], width: int
+) -> BitVec:
+    """Evaluate a packed truth table over packed simulation words.
+
+    ``table`` has ``2**len(fanin_vecs)`` bits in this module's point
+    order, and ``fanin_vecs[i]`` carries the ``width`` simulation values
+    of variable *i*.  Shannon expansion on the top variable ``x``: with
+    ``a`` and ``b`` the values of the table's upper (``x = 1``) and lower
+    halves, the result is ``b ^ (x & (a ^ b))``.  An all-zero or all-one
+    half returns at once, so a table costs at most ``2**len(fanin_vecs)``
+    word operations and needs no cover.
+    """
+    full = _ONES[width]
+    words = [vec.words for vec in fanin_vecs]
+
+    def expand(bits: int, nvars: int) -> int:
+        if not bits:
+            return 0
+        if bits == _ONES[1 << nvars]:
+            return full
+        nvars -= 1
+        half = 1 << nvars
+        low = expand(bits & _ONES[half], nvars)
+        high = expand(bits >> half, nvars)
+        return low ^ (words[nvars] & (high ^ low))
+
+    return BitVec(width, expand(table.words, len(words)))

@@ -187,28 +187,14 @@ class MultiThresholdModel(GateModel):
             return False
         from repro.cache.canonical import MAX_CANONICAL_VARS
 
-        nvars, rows = cover_key
+        nvars, _ = cover_key
         if nvars > MAX_CANONICAL_VARS or len(vector.weights) != nvars:
             return False
-        totals = np.asarray(bitset.weighted_sums(vector.weights))
-        on = bitset.key_table(cover_key).to_bool_array()
-        ts = np.asarray(vector.thresholds)
-        crossed = np.zeros(totals.shape, dtype=np.int64)
-        for t in vector.thresholds:
-            crossed += totals >= t
-        if not np.array_equal(crossed % 2 == 1, on):
+        if vector.table() != bitset.key_table(cover_key):
             return False
         # Generalized Eq. 1: clear the nearest threshold below by the
         # ON margin, stay under the nearest above by the OFF margin.
-        idx = np.searchsorted(ts, totals, side="right")
-        has_below = idx > 0
-        has_above = idx < len(ts)
-        if has_below.any():
-            below = totals[has_below] - ts[idx[has_below] - 1]
-            if int(below.min()) < delta_on:
-                return False
-        if has_above.any():
-            above = ts[idx[has_above]] - totals[has_above]
-            if int(above.min()) < delta_off:
-                return False
-        return True
+        on_margin, off_margin = vector.margins()
+        return (on_margin is None or on_margin >= delta_on) and (
+            off_margin is None or off_margin >= delta_off
+        )

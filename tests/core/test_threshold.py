@@ -1,8 +1,10 @@
 """Unit tests for threshold gates and networks."""
 
-import numpy as np
+import random
+
 import pytest
 
+from repro.boolean.bitset import BitVec
 from repro.boolean.function import BooleanFunction
 from repro.core.threshold import (
     ThresholdGate,
@@ -13,6 +15,10 @@ from repro.core.threshold import (
     make_or_vector,
 )
 from repro.errors import NetworkError
+from repro.network.simulate import (
+    random_pi_vectors,
+    simulate_threshold_vectors,
+)
 
 
 class TestVector:
@@ -146,17 +152,15 @@ class TestNetwork:
 
 
 class TestMatrixSimulation:
+    """Many input vectors at once, on the packed simulator."""
+
     def test_matches_scalar_evaluation(self):
         net = or_network()
-        rng = np.random.default_rng(0)
-        matrix = {
-            name: rng.integers(0, 2, size=50).astype(np.float64)
-            for name in net.inputs
-        }
-        out = net.simulate_matrix(matrix)["f"]
+        vecs = random_pi_vectors(net, 50, random.Random(0))
+        out = simulate_threshold_vectors(net, vecs, 50)["f"]
         for k in range(50):
-            assignment = {name: bool(matrix[name][k]) for name in net.inputs}
-            assert out[k] == net.evaluate(assignment)["f"]
+            assignment = {name: vecs[name].test(k) for name in net.inputs}
+            assert out.test(k) == net.evaluate(assignment)["f"]
 
     def test_weight_noise_can_flip_output(self):
         net = ThresholdNetwork()
@@ -165,16 +169,16 @@ class TestMatrixSimulation:
             ThresholdGate("f", ("a",), WeightThresholdVector((1,), 1))
         )
         net.add_output("f")
-        matrix = {"a": np.array([1.0])}
-        clean = net.simulate_matrix(matrix)["f"]
-        assert clean[0]
-        noisy = net.simulate_matrix(matrix, weight_noise={"f": np.array([-0.6])})
-        assert not noisy["f"][0]
+        vecs = {"a": BitVec.ones(1)}
+        clean = simulate_threshold_vectors(net, vecs, 1)["f"]
+        assert clean.test(0)
+        noisy = simulate_threshold_vectors(net, vecs, 1, {"f": [1 - 0.6]})
+        assert not noisy["f"].test(0)
 
     def test_zero_input_gate(self):
         net = ThresholdNetwork()
         net.add_input("a")
         net.add_gate(ThresholdGate("k", (), WeightThresholdVector((), 0)))
         net.add_output("k")
-        out = net.simulate_matrix({"a": np.zeros(4)})
-        assert out["k"].all()
+        out = simulate_threshold_vectors(net, {"a": BitVec.zeros(4)}, 4)
+        assert out["k"].is_ones()

@@ -24,7 +24,7 @@ from repro.core.threshold import (
 )
 from repro.gates import get_model, model_names
 from repro.network.simulate import (
-    exhaustive_threshold_pi_vectors,
+    exhaustive_pi_vectors,
     simulate_threshold_vectors,
 )
 
@@ -126,7 +126,7 @@ class TestPackedMatchesFires:
     """One differential property per registered gate model."""
 
     def check(self, network: ThresholdNetwork) -> None:
-        vecs, width = exhaustive_threshold_pi_vectors(network)
+        vecs, width = exhaustive_pi_vectors(network)
         packed = simulate_threshold_vectors(network, vecs, width)
         inputs = list(network.inputs)
         for k in range(width):
