@@ -1,7 +1,6 @@
 """Whole-network dataflow analysis over threshold DAGs.
 
-A generic forward/backward fixpoint engine (:mod:`repro.analysis.engine`)
-with three concrete analyses:
+Three analyses:
 
 * weighted-sum intervals (:mod:`repro.analysis.interval`) — proven
   constant gates, stuck outputs, activation bounds;
@@ -22,13 +21,11 @@ from repro.analysis.certificate import (
 )
 from repro.analysis.domains import BoolInterval, SumInterval
 from repro.analysis.dontcare import DontCareResult, dontcare_analysis
-from repro.analysis.engine import (
-    FixpointResult,
+from repro.analysis.interval import (
     FixpointStats,
-    backward_fixpoint,
-    forward_fixpoint,
+    IntervalResult,
+    interval_analysis,
 )
-from repro.analysis.interval import IntervalResult, interval_analysis
 from repro.analysis.redundancy import (
     RemovalFinding,
     apply_removals,
@@ -49,7 +46,6 @@ __all__ = [
     "AnalysisResult",
     "BoolInterval",
     "DontCareResult",
-    "FixpointResult",
     "FixpointStats",
     "GateCertificate",
     "IntervalResult",
@@ -58,12 +54,10 @@ __all__ = [
     "SumInterval",
     "analyze_threshold_network",
     "apply_removals",
-    "backward_fixpoint",
     "build_certificate",
     "dontcare_analysis",
     "find_candidates",
     "format_analysis_report",
-    "forward_fixpoint",
     "interval_analysis",
     "rebuild_with",
     "threshold_to_boolean",

@@ -13,9 +13,9 @@ The forward analyses run over two tiny finite lattices:
   interval clears (or never reaches) its threshold is a proven constant.
 
 Both lattices have finite height (2 and ``O(sum |w|)`` respectively,
-the latter bounded per gate by its own weights), which together with the
-acyclicity of threshold networks gives the fixpoint engine its
-termination guarantee (see ``docs/ANALYSIS.md``).
+the latter bounded per gate by its own weights).  Threshold networks are
+acyclic, so the interval analysis needs only one topological sweep (see
+``docs/ANALYSIS.md``).
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@ constant** — the single-threshold case reduces to ``lo >= T`` (constant
 no ``T_j`` lies in ``(lo, hi]``, its value the crossing parity at
 ``lo``.  Constants propagate: a proven-constant gate feeds ``{0}`` or
 ``{1}`` into its readers, which may in turn collapse *their* sum
-intervals, all within the one fixpoint.
+intervals.  A threshold network is acyclic, so one sweep in topological
+order sees every gate's fanins final before the gate: that sweep is the
+fixpoint.
 
 Primary outputs driven by a constant signal are **stuck outputs** —
 either a deliberate constant cone or a symptom worth surfacing.
@@ -25,20 +27,11 @@ from repro.analysis.domains import (
     SumInterval,
     weighted_sum_interval,
 )
-from repro.analysis.engine import FixpointStats, forward_fixpoint
 from repro.core.threshold import (
     MultiThresholdVector,
     ThresholdGate,
     ThresholdNetwork,
 )
-
-
-def gate_transfer(
-    gate: ThresholdGate, fanins: tuple[BoolInterval, ...]
-) -> BoolInterval:
-    """The interval-abstract output of one gate."""
-    sums = weighted_sum_interval(gate.vector.weights, fanins)
-    return _fires_interval(gate, sums)
 
 
 def _fires_interval(gate: ThresholdGate, sums: SumInterval) -> BoolInterval:
@@ -51,6 +44,16 @@ def _fires_interval(gate: ThresholdGate, sums: SumInterval) -> BoolInterval:
     if sums.contains_threshold(vector.threshold):
         return UNKNOWN
     return BoolInterval.constant(sums.lo >= vector.threshold)
+
+
+@dataclass
+class FixpointStats:
+    """The work of one interval sweep: every signal, and one visit and one
+    update per gate (the analysis report's ``fixpoint`` block)."""
+
+    signals: int = 0
+    visits: int = 0
+    updates: int = 0
 
 
 @dataclass
@@ -72,28 +75,31 @@ def interval_analysis(
     network: ThresholdNetwork,
     input_values: Mapping[str, BoolInterval] | None = None,
 ) -> IntervalResult:
-    """Run the forward interval fixpoint over ``network``.
+    """Run the forward interval analysis over ``network`` in one sweep.
 
     ``input_values`` optionally pins primary inputs to constants (an
     environment constraint); unnamed inputs default to unknown.
     """
     pins = dict(input_values or {})
-    seeds = {pi: pins.get(pi, UNKNOWN) for pi in network.inputs}
-    fixed = forward_fixpoint(
-        network, gate_transfer, seeds, BoolInterval.join
-    )
-    result = IntervalResult(values=fixed.values, stats=fixed.stats)
-    for name in network.topological_order():
+    result = IntervalResult()
+    values = result.values
+    for pi in network.inputs:
+        values[pi] = pins.get(pi, UNKNOWN)
+    order = network.topological_order()
+    for name in order:
         gate = network.gate(name)
-        fanins = tuple(fixed.values[f] for f in gate.inputs)
-        result.sums[name] = weighted_sum_interval(
+        fanins = tuple(values[f] for f in gate.inputs)
+        sums = result.sums[name] = weighted_sum_interval(
             gate.vector.weights, fanins
         )
-        value = fixed.values[name].value
-        if value is not None:
-            result.constant_gates[name] = value
+        values[name] = _fires_interval(gate, sums)
+        if values[name].value is not None:
+            result.constant_gates[name] = values[name].value
     for out in network.outputs:
-        value = fixed.values.get(out, UNKNOWN).value
+        value = values.get(out, UNKNOWN).value
         if value is not None:
             result.stuck_outputs[out] = value
+    result.stats = FixpointStats(
+        signals=len(values), visits=len(order), updates=len(order)
+    )
     return result

@@ -19,7 +19,6 @@ from repro.analysis.redundancy import (
     find_candidates,
     verify_removals,
 )
-from repro.boolean.bitset import MAX_TABLE_VARS
 from repro.core.threshold import ThresholdNetwork
 
 
@@ -28,8 +27,6 @@ class AnalysisOptions:
     """Knobs of one analysis run."""
 
     gate_model: str = "ltg"
-    #: Exhaustive-simulation ceiling (#PI) for the exact don't-care pass.
-    max_table_vars: int = MAX_TABLE_VARS
     #: Enumeration ceiling (fanin) for per-gate margin certificates.
     max_enumeration_fanin: int = 16
     #: Random vectors for equivalence checks past the exhaustive limit.
@@ -85,12 +82,8 @@ def analyze_threshold_network(
     opts = options or AnalysisOptions()
     start = time.perf_counter()
     ivl = interval_analysis(network)
-    dc = dontcare_analysis(
-        network, max_table_vars=opts.max_table_vars, interval=ivl
-    )
-    candidates = find_candidates(
-        network, ivl, dc, max_table_vars=opts.max_table_vars
-    )
+    dc = dontcare_analysis(network, interval=ivl)
+    candidates = find_candidates(network, ivl, dc)
     if opts.verify:
         candidates = verify_removals(
             network, candidates, vectors=opts.vectors, seed=opts.seed
