@@ -67,6 +67,10 @@ class IlpResult:
     ``timed_out`` marks an answer cut short by a wall-clock limit rather
     than a node budget; like ``limit_hit`` it means the claim was declared,
     not proven, so the dispatch layer never treats it as semantic.
+
+    ``certificate`` optionally backs an INFEASIBLE with Farkas multipliers,
+    one per constraint, for :meth:`IlpProblem.is_infeasibility_certificate`
+    to check exactly.
     """
 
     status: Status
@@ -74,6 +78,7 @@ class IlpResult:
     values: tuple[Fraction, ...] | None = None
     limit_hit: bool = False
     timed_out: bool = False
+    certificate: tuple[Fraction, ...] | None = None
 
     @property
     def is_optimal(self) -> bool:
@@ -164,6 +169,35 @@ class IlpProblem:
         if any(v < 0 for v in xs):
             return False
         return all(c.evaluate(xs) for c in self.constraints)
+
+    def is_infeasibility_certificate(
+        self, multipliers: Sequence[Number] | None
+    ) -> bool:
+        """Check exactly that ``multipliers`` prove the model infeasible.
+
+        One multiplier ``y_i`` per constraint: ``y_i >= 0`` on a ``<=``
+        row, ``y_i <= 0`` on a ``>=`` row, any sign on an ``==`` row.  Then
+        every feasible x satisfies ``(yᵀA) x <= yᵀb``.  When every entry of
+        ``yᵀA`` is >= 0 and ``yᵀb < 0``, no x >= 0 does (Farkas' lemma):
+        the LP relaxation is empty, and with it the integer program.
+        """
+        if multipliers is None or len(multipliers) != len(self.constraints):
+            return False
+        combined = [Fraction(0)] * self.num_vars
+        rhs = Fraction(0)
+        for value, con in zip(multipliers, self.constraints):
+            y = Fraction(value)
+            if not y:
+                continue
+            if (con.sense is Sense.LE and y < 0) or (
+                con.sense is Sense.GE and y > 0
+            ):
+                return False
+            for j, a in enumerate(con.coefficients):
+                if a:
+                    combined[j] += y * a
+            rhs += y * con.rhs
+        return rhs < 0 and all(a >= 0 for a in combined)
 
     def objective_value(self, x: Sequence[Number]) -> Fraction:
         xs = [_to_fraction(v) for v in x]
