@@ -13,6 +13,7 @@ import random
 
 from repro.boolean.bitset import BitVec
 from repro.core.threshold import ThresholdNetwork
+from repro.errors import NetworkError
 from repro.network.network import BooleanNetwork
 from repro.network.simulate import (
     EXHAUSTIVE_LIMIT,
@@ -75,8 +76,16 @@ def first_mismatch(
 
     Debugging helper: exhaustive for small input counts, random otherwise.
     Both sides are simulated bit-parallel; only the first disagreeing
-    vector is unpacked into a point assignment.
+    vector is unpacked into a point assignment.  Networks whose inputs or
+    outputs differ have no such assignment: that raises
+    :class:`~repro.errors.NetworkError` naming the differences.
     """
+    interface = interface_differences(source, synthesized)
+    if interface:
+        raise NetworkError(
+            f"network {synthesized.name!r} and its source differ in "
+            f"interface: {'; '.join(interface)}"
+        )
     vecs, width = check_pi_vectors(source, vectors, random.Random(seed))
     golden = simulate_vectors(source, vecs, width)
     got = simulate_threshold_vectors(synthesized, vecs, width)

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from repro.boolean.function import BooleanFunction
 from repro.core.synthesis import SynthesisOptions, synthesize
 from repro.core.threshold import (
@@ -15,6 +17,8 @@ from repro.core.defects import (
     run_defect_trial,
 )
 from repro.core.verify import first_mismatch, verify_threshold_network
+from repro.errors import NetworkError
+from repro.io.blif import parse_blif
 from repro.network.network import BooleanNetwork
 from repro.network.simulate import (
     equivalent_threshold_networks,
@@ -78,6 +82,44 @@ class TestVerify:
         net = source_and()
         th = synthesize(net, SynthesisOptions())
         assert first_mismatch(net, th) is None
+
+    @pytest.mark.parametrize(
+        "source_inputs,inputs,output,expected",
+        [
+            ("a b", ("a", "b", "z"), "y", ["inputs only in the network: z"]),
+            ("a b z", ("a", "b"), "y", ["inputs only in the source: z"]),
+            (
+                "a b",
+                ("a", "b"),
+                "w",
+                [
+                    "outputs only in the source: y",
+                    "outputs only in the network: w",
+                ],
+            ),
+        ],
+        ids=["network-input", "source-input", "renamed-output"],
+    )
+    def test_first_mismatch_names_an_interface_mismatch(
+        self, source_inputs, inputs, output, expected
+    ):
+        # The three interface cases of TLM105, straight through
+        # first_mismatch: no input vector can witness them.
+        source = parse_blif(
+            f".model s\n.inputs {source_inputs}\n.outputs y\n"
+            ".names a b y\n11 1\n.end\n"
+        )
+        th = ThresholdNetwork("t")
+        for name in inputs:
+            th.add_input(name)
+        th.add_gate(
+            ThresholdGate(output, ("a", "b"), WeightThresholdVector((1, 1), 2))
+        )
+        th.add_output(output)
+        with pytest.raises(NetworkError, match="differ in interface") as exc:
+            first_mismatch(source, th)
+        for text in expected:
+            assert text in str(exc.value)
 
 
 def wide_gate_pair(threshold: int = 1):
