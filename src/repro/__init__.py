@@ -34,35 +34,28 @@ from repro.errors import (
     SynthesisError,
 )
 
-try:
-    # The synthesis layers require numpy; the Boolean substrate above does
-    # not (its packed tables are Python ints).  A numpy-free interpreter
-    # still gets the cover algebra and the errors.
-    from repro.core import (
-        NetworkStats,
-        SynthesisOptions,
-        ThresholdChecker,
-        ThresholdGate,
-        ThresholdNetwork,
-        WeightThresholdVector,
-        is_threshold_function,
-        network_stats,
-        one_to_one_map,
-        synthesize,
-        verify_threshold_network,
-    )
-    from repro.core.synthesis import synthesize_with_report
-    from repro.io import parse_blif, read_blif, write_blif
-    from repro.network import BooleanNetwork, script_algebraic, script_boolean
-    from repro.network.scripts import prepare_one_to_one, prepare_tels
-    from repro.benchgen import build_benchmark, benchmark_names
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    try:
-        import numpy as _np_probe  # noqa: F401
-    except ImportError:
-        pass  # genuinely numpy-free: boolean-substrate-only mode
-    else:
-        raise  # numpy exists, so the failure is a real bug - surface it
+# Nothing imported here needs numpy: the Boolean substrate packs its tables
+# into Python ints, and synthesis (every gate model, the exact ILP backend,
+# verification) runs on it.  numpy and scipy serve the HiGHS backend, used
+# when importable, and the defect Monte Carlo of Figs. 11 and 12.
+from repro.core import (
+    NetworkStats,
+    SynthesisOptions,
+    ThresholdChecker,
+    ThresholdGate,
+    ThresholdNetwork,
+    WeightThresholdVector,
+    is_threshold_function,
+    network_stats,
+    one_to_one_map,
+    synthesize,
+    verify_threshold_network,
+)
+from repro.core.synthesis import synthesize_with_report
+from repro.io import parse_blif, read_blif, write_blif
+from repro.network import BooleanNetwork, script_algebraic, script_boolean
+from repro.network.scripts import prepare_one_to_one, prepare_tels
+from repro.benchgen import build_benchmark, benchmark_names
 
 __version__ = "1.0.0"
 

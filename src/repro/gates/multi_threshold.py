@@ -29,8 +29,6 @@ from __future__ import annotations
 
 from itertools import product
 
-import numpy as np
-
 from repro.boolean import bitset
 from repro.core.threshold import (
     GateVector,
@@ -108,22 +106,16 @@ class MultiThresholdModel(GateModel):
         Groups the ``2**nvars`` input points by weighted sum; a realization
         exists iff equal sums agree on the output, and every output flip
         between consecutive sums leaves room for both tolerances.  The
-        grouping runs bit-parallel: one weighted-sum sweep plus bincounts
-        over the sum classes.
+        grouping is one weighted-sum sweep into a dict, stopping at the
+        first sum whose points disagree.
         """
         full_weights = [0] * nvars
         for slot, var in enumerate(support):
             full_weights[var] = slot_weights[slot]
-        totals = np.asarray(bitset.weighted_sums(full_weights))
-        out = np.asarray(outputs, dtype=bool)
-        uniq, inverse = np.unique(totals, return_inverse=True)
-        on_hits = np.bincount(inverse, weights=out, minlength=len(uniq))
-        off_hits = np.bincount(inverse, weights=~out, minlength=len(uniq))
-        if bool(((on_hits > 0) & (off_hits > 0)).any()):
-            return None  # same sum, different output: weights too coarse
-        by_sum = {
-            int(s): bool(on_hits[k] > 0) for k, s in enumerate(uniq)
-        }
+        by_sum: dict[int, int] = {}
+        for total, out in zip(bitset.weighted_sums(full_weights), outputs):
+            if by_sum.setdefault(total, out) != out:
+                return None  # same sum, different output: weights too coarse
         sums = sorted(by_sum)
         min_gap = checker.delta_on + checker.delta_off
         thresholds: list[int] = []
