@@ -90,3 +90,24 @@ class TestSolverChaos:
         assert result.status is Status.OPTIMAL
         assert result.int_values() == (1,)
         assert info.verified
+
+    def test_chaos_on_a_certified_infeasible_ends_on_exact(self, monkeypatch):
+        # x0 + x1 <= -1 gets a valid Farkas certificate from HiGHS, but
+        # under either solver site the chain never sees it: "solver" skips
+        # the scipy attempt, and "solver-wrong" turns the INFEASIBLE into
+        # an all-zero OPTIMAL that violates the row.
+        if not get_backend("scipy").available():
+            import pytest
+
+            pytest.skip("solver chaos perturbs the scipy attempt")
+        p = IlpProblem(num_vars=2, objective=[1, 1])
+        p.add_constraint([1, 1], "<=", -1)
+        for site in ("solver", "solver-wrong"):
+            monkeypatch.setenv(CHAOS_ENV, f"{site}=1.0:0")
+            result, info = solve_ilp_info(p, backend="auto")
+            assert result.status is Status.INFEASIBLE, site
+            assert info.backend == "exact", site
+            assert info.fallback, site
+            assert info.solves_for("exact") == 1, site
+            # Only the "solver" site fakes a timed-out scipy attempt.
+            assert info.attempts[0].timed_out == (site == "solver"), site
