@@ -188,15 +188,31 @@ def variable_column(var: int, nvars: int) -> BitVec:
     return column
 
 
+class _ColumnWords(dict):
+    """nvars -> the int words of its variable columns, built on first use."""
+
+    def __missing__(self, nvars: int) -> list[int]:
+        words = self[nvars] = [
+            variable_column(var, nvars).words for var in range(nvars)
+        ]
+        return words
+
+
+_COLUMN_WORDS = _ColumnWords()
+
+
 def _cube_words(pos: int, neg: int, nvars: int) -> int:
     """The packed table of one cube, as an int."""
+    columns = _COLUMN_WORDS[nvars]
     value = _ONES[1 << nvars]
-    literals = pos | neg
-    while literals:
-        low = literals & -literals
-        column = variable_column(low.bit_length() - 1, nvars).words
-        value = value & column if pos & low else value & ~column
-        literals ^= low
+    while pos:
+        low = pos & -pos
+        value &= columns[low.bit_length() - 1]
+        pos ^= low
+    while neg:
+        low = neg & -neg
+        value &= ~columns[low.bit_length() - 1]
+        neg ^= low
     return value
 
 

@@ -432,13 +432,10 @@ class ThresholdChecker:
         cover = cover.scc()
         if cover.is_zero() or cover.is_tautology():
             return None
-        if cover.nvars <= 12:
-            cover = minimize(cover)
-        if not syntactic_unateness(cover).is_unate:
+        analysis = self._analysis(cover, cover.canonical_key())
+        if analysis is None:
             return None
-        positive, _ = to_positive_unate(cover)
-        off_cubes = minimize(positive.complement())
-        problem, _ = self._formulate(positive, off_cubes)
+        problem, _ = self._formulate(analysis.positive, analysis.off_cubes)
         return problem
 
     def cache_size(self) -> int:

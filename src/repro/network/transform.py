@@ -17,6 +17,7 @@ with bit-parallel simulation after every transform.
 
 from __future__ import annotations
 
+from repro.boolean.bitset import MAX_TABLE_VARS
 from repro.boolean.cover import Cover
 from repro.boolean.cube import Cube
 from repro.boolean.divide import divide
@@ -237,7 +238,8 @@ def simplify(network: BooleanNetwork) -> int:
     minimized_of: dict[tuple, Cover] = {}
     for node in list(network.node_names):
         func = network.function(node)
-        if func.nvars > _SIMPLIFY_VAR_CAP or func.num_cubes > _SIMPLIFY_CUBE_CAP:
+        # Wider covers would leave minimize()'s truth-table path.
+        if func.nvars > MAX_TABLE_VARS or func.num_cubes > _SIMPLIFY_CUBE_CAP:
             continue
         key = (func.cover.scc().cubes, func.nvars)
         minimized = minimized_of.get(key)
@@ -253,7 +255,6 @@ def simplify(network: BooleanNetwork) -> int:
     return saved
 
 
-_SIMPLIFY_VAR_CAP = 16
 _SIMPLIFY_CUBE_CAP = 64
 
 

@@ -10,11 +10,25 @@ import pytest
 from repro.benchgen.mcnc import benchmark_names, build_benchmark
 from repro.core.synthesis import SynthesisOptions, synthesize
 from repro.core.verify import verify_threshold_network
+from repro.experiments import flows
 from repro.experiments.flows import run_flows
 from repro.io.blif import parse_blif, to_blif
 from repro.network.scripts import prepare_tels
+from tests.network.make_golden import digest
 
 SMALL = [n for n in benchmark_names() if n not in ("i10", "term1", "x1")]
+
+#: The sha256 of i10's two prepared networks, as ``make_golden.py`` in
+#: ``tests/network`` prints them.  ``golden_prepared.json`` leaves i10 out:
+#: preparing it is most of ``test_i10_flow``, which pins them instead.
+I10_PREPARED = {
+    "prepare_tels": (
+        "989c29c5858d7b4c948bb96224e4a5c06bc9d4610838b00d9fce8692cb4cec4a"
+    ),
+    "prepare_one_to_one": (
+        "7e5f70b5b6aa2dcc90005da63a54a5bf1d6e4086f336f3177df1def6c5367938"
+    ),
+}
 
 
 class TestFullFlow:
@@ -59,10 +73,27 @@ class TestFullFlow:
             assert flow.one_to_one.max_fanin() <= psi
 
     @pytest.mark.slow
-    def test_i10_flow(self):
+    def test_i10_flow(self, monkeypatch):
+        # Hash each network as run_flows prepares it, so that i10 is
+        # prepared once for both the flow and its pinned hashes.
+        prepared = {}
+
+        def recording(name, prepare):
+            def wrapper(*args, **kwargs):
+                network = prepare(*args, **kwargs)
+                prepared[name] = digest(network)
+                return network
+
+            return wrapper
+
+        for name in I10_PREPARED:
+            monkeypatch.setattr(
+                flows, name, recording(name, getattr(flows, name))
+            )
         flow = run_flows("i10", psi=3, verify_vectors=256)
         assert flow.verified
         assert flow.tels_stats.gates < flow.one_to_one_stats.gates
+        assert prepared == I10_PREPARED
 
 
 class TestDeltaConfigurations:

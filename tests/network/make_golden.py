@@ -13,11 +13,13 @@ prepare, as the sha256 of its ``to_blif`` text:
 * ``prepare_one_to_one(..., max_fanin=3)`` on the Table-I circuits
   except i10.
 
-After writing the golden the script prints the same two hashes for i10,
-which is too slow to pin in a test (minutes, most of it in
-``prepare_one_to_one``); compare them by hand across a change to the
-transforms.  Regenerate only when a prepared network changes on purpose;
-``test_golden_prepared.py`` fails on any drift.
+After writing the golden the script prints the same two hashes for i10.
+Preparing i10 takes too long for a test of its own (most of it in
+``prepare_one_to_one``), so ``test_i10_flow``
+(``tests/integration/test_endtoend.py``), which prepares it anyway,
+checks them against its ``I10_PREPARED``.  Regenerate only when a prepared
+network changes on purpose; ``test_golden_prepared.py`` and
+``test_i10_flow`` fail on any drift.
 """
 
 from __future__ import annotations
