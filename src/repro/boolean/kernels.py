@@ -122,13 +122,3 @@ def _cube_product(a: Cube, b: Cube, c: Cube) -> Cube:
 def level0_kernels(cover: Cover) -> list[Kernel]:
     """Only the level-0 kernels (leaves of the kerneling tree)."""
     return [k for k in kernels(cover) if k.level == 0]
-
-
-def kernel_value(kernel: Kernel, uses: int) -> int:
-    """Literal savings of extracting this kernel used ``uses`` times.
-
-    A rough literal-count model: extracting divisor D with c cubes and l
-    literals, used u times with co-kernels of k literals each, saves about
-    ``(u - 1) * l`` literals at the cost of one new node.
-    """
-    return (uses - 1) * kernel.cover.num_literals - 1

@@ -198,11 +198,11 @@ def minimize(cover: Cover, dcset: Cover | None = None) -> Cover:
     Raises:
         CoverError: ``dcset`` is over another number of variables.
     """
+    if dcset is not None and dcset.nvars != cover.nvars:
+        raise CoverError("covers over different variable counts")
     cover = cover.scc()
     if cover.is_zero() or cover.is_tautology():
         return Cover.one(cover.nvars) if cover.is_tautology() else cover
-    if dcset is not None and dcset.nvars != cover.nvars:
-        raise CoverError("covers over different variable counts")
     if cover.packable():
         dc = 0 if dcset is None else dcset.packed_table().words
         off = cover.packed_table().invert().words & ~dc

@@ -114,23 +114,6 @@ def _permute_rows(
     return tuple(sorted(out))
 
 
-def _var_signature(rows: list[tuple[int, int]], var: int) -> tuple:
-    """A permutation-invariant structural profile of one variable."""
-    bit = 1 << var
-    pos_profile = sorted(
-        (pos | neg).bit_count() for pos, neg in rows if pos & bit
-    )
-    neg_profile = sorted(
-        (pos | neg).bit_count() for pos, neg in rows if neg & bit
-    )
-    return (
-        len(pos_profile),
-        len(neg_profile),
-        tuple(pos_profile),
-        tuple(neg_profile),
-    )
-
-
 def _var_signatures(
     rows: list[tuple[int, int]], nvars: int
 ) -> dict[int, tuple]:

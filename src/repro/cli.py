@@ -58,7 +58,7 @@ def _option_flags() -> dict[str, tuple[tuple[str, ...], dict]]:
     defaults come from SynthesisOptions (:func:`_add_option_flags`).
     """
     from repro.gates import model_names
-    from repro.ilp.backends import registered_backends
+    from repro.ilp.solve import BACKENDS
 
     return {
         "psi": _flag("--psi", type=int, help="fanin restriction"),
@@ -75,7 +75,7 @@ def _option_flags() -> dict[str, tuple[tuple[str, ...], dict]]:
         "backend": _flag(
             "--ilp-backend",
             "--backend",  # legacy alias
-            choices=("auto", *registered_backends()),
+            choices=BACKENDS,
             help="ILP solver backend",
         ),
         "use_fastpath": _flag(

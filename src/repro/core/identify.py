@@ -38,11 +38,10 @@ from repro.core.threshold import (
     WeightThresholdVector,
     make_constant_vector,
 )
-from repro.errors import CoverError
-from repro.ilp.backends import SolveInfo
+from repro.errors import CoverError, DeadlineExceeded
 from repro.ilp.fastpath import FastpathStatus, fastpath_check
 from repro.ilp.model import IlpProblem
-from repro.ilp.solve import solve_ilp_info
+from repro.ilp.solve import SolveInfo, solve_ilp_info
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep core below engine
     from repro.engine.resilience import Deadline
@@ -123,7 +122,7 @@ class ThresholdChecker:
     Attributes:
         delta_on: ON-side defect tolerance (paper default 0).
         delta_off: OFF-side defect tolerance (paper default 1).
-        backend: ILP backend passed to :func:`repro.ilp.solve.solve_ilp`.
+        backend: one of :data:`repro.ilp.solve.BACKENDS`.
         max_weight: optional upper bound on every |w_i| (RTD/QCA processes
             realize weights as device areas, so practical weight ranges are
             small); functions needing a larger weight are declared
@@ -146,7 +145,9 @@ class ThresholdChecker:
             :class:`~repro.errors.DeadlineExceeded` cooperatively) and the
             remaining time is forwarded to the solver stack as its
             wall-clock limit, so one slow ILP cannot blow through a
-            per-cone budget unnoticed.
+            per-cone budget unnoticed.  A solve the limit cut short
+            raises ``DeadlineExceeded`` too, so no timeout is ever
+            stored as a "not threshold" verdict.
         store_stats: where this checker's store lookups are counted; None
             counts them in ``store.stats``.  An engine cone passes its own
             record, so a store shared by concurrent runs cannot leak one
@@ -337,6 +338,10 @@ class ThresholdChecker:
             timeout_s=timeout_s,
         )
         self._record_solve(info)
+        if result.timed_out:
+            # Declared, not proven: degrade like any spent deadline, and
+            # store no verdict.
+            raise DeadlineExceeded("deadline cut the threshold ILP short")
         if not result.is_optimal:
             return None
         self.stats.ilp_feasible += 1

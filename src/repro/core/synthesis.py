@@ -35,7 +35,7 @@ from repro.core.identify import ThresholdChecker
 from repro.core.strategies import STRATEGIES
 from repro.core.threshold import ThresholdNetwork
 from repro.errors import SynthesisError
-from repro.ilp.backends import registered_backends
+from repro.ilp.solve import BACKENDS
 from repro.network.network import BooleanNetwork
 
 if TYPE_CHECKING:
@@ -144,7 +144,7 @@ class SynthesisOptions:
         from repro.gates import model_names
 
         for name, value, allowed in (
-            ("ILP backend", self.backend, ("auto", *registered_backends())),
+            ("ILP backend", self.backend, BACKENDS),
             ("splitting strategy", self.splitting_strategy, STRATEGIES),
             ("gate model", self.gate_model, tuple(model_names())),
         ):

@@ -7,13 +7,16 @@ provides:
 * :mod:`repro.ilp.model` — a tiny declarative model (:class:`IlpProblem`);
 * :mod:`repro.ilp.simplex` — an exact rational two-phase simplex;
 * :mod:`repro.ilp.branch_bound` — branch & bound on top of the simplex;
-* :mod:`repro.ilp.scipy_backend` — optional HiGHS backend via
-  :func:`scipy.optimize.milp`;
-* :func:`repro.ilp.solve.solve_ilp` — the backend dispatcher.
+* :mod:`repro.ilp.scipy_backend` — optional HiGHS solver via
+  :func:`scipy.optimize.milp`, with a Farkas certificate for an INFEASIBLE;
+* :func:`repro.ilp.solve.solve_ilp` — the one dispatch over the
+  ``BACKENDS`` names ``auto``, ``exact`` and ``scipy``.
 
 The pure-Python path is exact (Fraction arithmetic, no tolerance tuning) and
-has no dependencies; HiGHS is faster on larger models.  Both return identical
-feasibility answers on the paper's workloads — an ablation benchmark
+has no dependencies; HiGHS is faster on larger models.  A HiGHS answer is
+never taken on trust: its point is re-checked and its infeasibility is
+proved by a certificate or re-proved by the exact solver, so every backend
+returns the same feasibility answer — an ablation benchmark
 (`benchmarks/test_ablation_ilp.py`) checks exactly that.
 """
 

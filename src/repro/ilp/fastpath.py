@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from collections.abc import Sequence
 
 from repro.boolean import bitset
 from repro.boolean.cover import Cover
@@ -74,10 +73,6 @@ class FastpathResult:
     candidate: tuple[int, ...] | None = None
     tuples_tried: int = 0
     screened: bool = False
-
-    @property
-    def is_hit(self) -> bool:
-        return self.status is FastpathStatus.HIT
 
 
 def chow_parameters(cover: Cover) -> dict[int, int]:
@@ -132,13 +127,6 @@ def two_monotonicity_violation(
             if not fi.covers(fj) and not fj.covers(fi):
                 return (i, j)
     return None
-
-
-def screen_batch(
-    covers: Sequence[Cover],
-) -> list[tuple[int, int] | None]:
-    """2-monotonicity screen over many covers (first violation or None)."""
-    return [two_monotonicity_violation(cover) for cover in covers]
 
 
 def fastpath_check(

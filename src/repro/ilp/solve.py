@@ -1,51 +1,112 @@
-"""The layered dispatch for ILP solving: backend → verify.
+"""The one ILP dispatch: the exact solver, or HiGHS under a verification chain.
 
-``backend`` choices:
+``backend`` names (:data:`BACKENDS`):
 
 * ``"exact"`` — pure-Python rational simplex + branch & bound (always
   available, exact feasibility);
-* ``"scipy"`` — HiGHS via scipy (fast, float-based, re-verified);
-* ``"auto"`` (default) — scipy when importable, with a *verification
-  chain*: a scipy OPTIMAL is rounded to integers and re-checked against
-  every constraint of the model (falling back to the exact solver on any
-  violation), and a scipy INFEASIBLE is trusted only when its Farkas
-  certificate checks exactly against the model, because threshold
-  identification treats infeasibility as a *semantic* answer.  An
-  INFEASIBLE without a confirmed certificate — a timed-out or rounded-away
-  answer, or an integer-only infeasibility such as a ``max_weight`` bound
-  the LP relaxation can meet — is re-proved by the exact solver;
-* any other registered name — see :mod:`repro.ilp.backends`.
+* ``"scipy"`` — HiGHS via scipy under the verification chain below; an
+  :class:`~repro.errors.IlpError` when scipy is missing;
+* ``"auto"`` (default) — ``"scipy"`` when scipy is importable, ``"exact"``
+  otherwise.
 
-Every backend solves the model exactly as given: the checker's Fig. 6
+The *verification chain*: a HiGHS OPTIMAL is rounded to integers and
+re-checked against every constraint of the model (falling back to the
+exact solver on any violation), and a HiGHS INFEASIBLE is trusted only when
+its Farkas certificate checks exactly against the model, because threshold
+identification treats infeasibility as a *semantic* answer.  An INFEASIBLE
+without a confirmed certificate — a timed-out or rounded-away answer, or an
+integer-only infeasibility such as a ``max_weight`` bound the LP relaxation
+can meet — is re-proved by the exact solver.
+
+Both solvers take the model exactly as given: the checker's Fig. 6
 formulation already eliminates redundant constraints, so there is no
 reduction pass in between.  :func:`solve_ilp_info` returns the result
-together with a :class:`~repro.ilp.backends.SolveInfo` record (per-backend
-attempts, wall times, verification outcome) for the telemetry pipeline.
+together with a :class:`SolveInfo` record (per-solver attempts, wall times,
+verification outcome) for the telemetry pipeline.
 """
 
 from __future__ import annotations
 
+import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from repro.errors import IlpError
 from repro.faults.injector import get_injector
-from repro.ilp.backends import (
-    SolveAttempt,
-    SolveInfo,
-    available_backends,
-    get_backend,
-    registered_backends,
-    timed_solve,
-)
-from repro.ilp.branch_bound import verify_integral_solution
+from repro.ilp import scipy_backend
+from repro.ilp.branch_bound import solve_bb, verify_integral_solution
 from repro.ilp.model import IlpProblem, IlpResult, Status
 
 __all__ = [
+    "BACKENDS",
+    "SolveAttempt",
+    "SolveInfo",
     "available_backends",
-    "registered_backends",
     "solve_ilp",
     "solve_ilp_info",
 ]
+
+#: Every accepted ``backend`` name, in the order the CLI lists them.
+BACKENDS = ("auto", "exact", "scipy")
+
+
+@dataclass(frozen=True)
+class SolveAttempt:
+    """One solver run inside a single :func:`solve_ilp_info` call."""
+
+    backend: str
+    status: Status
+    wall_s: float
+    timed_out: bool = False
+
+
+@dataclass
+class SolveInfo:
+    """Structured telemetry for one dispatch.
+
+    Attributes:
+        backend: the solver whose answer was returned.
+        attempts: every solver run, in order — a verification fallback
+            shows up as a second attempt.
+        verified: the returned point (or infeasibility) was re-checked
+            against the model, not just taken from the solver's answer.
+        fallback: True when the answering solver was not the first tried.
+    """
+
+    backend: str = ""
+    attempts: list[SolveAttempt] = field(default_factory=list)
+    verified: bool = False
+    fallback: bool = False
+
+    def wall_for(self, backend: str) -> float:
+        return sum(a.wall_s for a in self.attempts if a.backend == backend)
+
+    def solves_for(self, backend: str) -> int:
+        return sum(1 for a in self.attempts if a.backend == backend)
+
+    @property
+    def timed_out(self) -> bool:
+        """True when any attempt was cut short by a wall-clock limit."""
+        return any(a.timed_out for a in self.attempts)
+
+
+def _record(
+    info: SolveInfo, backend: str, started: float, result: IlpResult
+) -> None:
+    """Append one finished solver run, timed from ``started``."""
+    info.attempts.append(
+        SolveAttempt(
+            backend=backend,
+            status=result.status,
+            wall_s=time.perf_counter() - started,
+            timed_out=result.timed_out,
+        )
+    )
+
+
+def available_backends() -> list[str]:
+    """The solvers usable on this machine (``auto`` picks among them)."""
+    return ["exact", "scipy"] if scipy_backend.have_scipy() else ["exact"]
 
 
 def _round_to_integral(
@@ -91,21 +152,24 @@ def solve_ilp_info(
 
     Args:
         problem: the model (left untouched).
-        backend: registered backend name, or ``"auto"``.
-        warm_start: a candidate point used as the exact backend's starting
+        backend: one of :data:`BACKENDS`.
+        warm_start: a candidate point used as the exact solver's starting
             incumbent when feasible.
-        timeout_s: best-effort wall-clock budget forwarded to every backend
+        timeout_s: best-effort wall-clock budget forwarded to every solver
             attempt; a solve cut short reports ``timed_out`` in its attempt
             record and is treated as a declared (not proven) answer.
     """
+    if backend not in BACKENDS:
+        raise IlpError(
+            f"unknown backend {backend!r}; choose one of {', '.join(BACKENDS)}"
+        )
     info = SolveInfo()
-    if backend == "auto":
-        result = _solve_auto(problem, info, warm_start, timeout_s)
-    elif backend == "exact":
+    if backend != "exact" and scipy_backend.have_scipy():
+        result = _solve_verified(problem, info, warm_start, timeout_s)
+    elif backend != "scipy":
         result = _solve_exact(problem, info, warm_start, timeout_s)
     else:
-        result = _solve_named(problem, info, backend, warm_start, timeout_s)
-    info.status = result.status
+        raise IlpError("scipy backend requested but scipy is unavailable")
     return result, info
 
 
@@ -115,57 +179,26 @@ def _solve_exact(
     warm_start: tuple[Fraction, ...] | None,
     timeout_s: float | None = None,
 ) -> IlpResult:
-    result, attempt = timed_solve(
-        get_backend("exact"), problem, warm_start=warm_start,
-        timeout_s=timeout_s,
+    started = time.perf_counter()
+    result = solve_bb(
+        problem, incumbent_values=warm_start, time_limit_s=timeout_s
     )
-    info.attempts.append(attempt)
+    _record(info, "exact", started, result)
     info.backend = "exact"
     verify_integral_solution(problem, result)
     info.verified = True
     return result
 
 
-def _solve_named(
-    problem: IlpProblem,
-    info: SolveInfo,
-    backend: str,
-    warm_start: tuple[Fraction, ...] | None,
-    timeout_s: float | None = None,
-) -> IlpResult:
-    solver = get_backend(backend)
-    if not solver.available():
-        raise IlpError(
-            f"{backend} backend requested but {backend} is unavailable"
-        )
-    result, attempt = timed_solve(
-        solver, problem, warm_start=warm_start, timeout_s=timeout_s
-    )
-    info.attempts.append(attempt)
-    info.backend = backend
-    if result.is_optimal:
-        repaired = _round_to_integral(problem, result)
-        if repaired is None:
-            raise IlpError(
-                f"{backend} returned an OPTIMAL point violating the model"
-            )
-        info.verified = True
-        return repaired
-    return result
-
-
-def _solve_auto(
+def _solve_verified(
     problem: IlpProblem,
     info: SolveInfo,
     warm_start: tuple[Fraction, ...] | None,
     timeout_s: float | None = None,
 ) -> IlpResult:
-    """scipy when present, under the verification chain; exact otherwise."""
-    scipy = get_backend("scipy")
-    if not scipy.available():
-        return _solve_exact(problem, info, warm_start, timeout_s)
+    """HiGHS under the verification chain; the exact solver re-proves."""
     # Chaos only ever perturbs the *float* attempt: the recovery path under
-    # test is the verification chain itself, and the exact backend stays
+    # test is the verification chain itself, and the exact solver stays
     # the trust anchor, so an injected fault can cost a fallback solve but
     # never a wrong answer.
     injector = get_injector()
@@ -181,8 +214,11 @@ def _solve_auto(
         )
         info.fallback = True
         return _solve_exact(problem, info, warm_start, timeout_s)
-    result, attempt = timed_solve(scipy, problem, timeout_s=timeout_s)
-    info.attempts.append(attempt)
+    # scipy.optimize.milp has no warm-start interface: only the exact
+    # solver uses the hint.
+    started = time.perf_counter()
+    result = scipy_backend.solve_scipy(problem, time_limit_s=timeout_s)
+    _record(info, "scipy", started, result)
     if injector is not None and injector.decide("solver-wrong", chaos_key):
         result = _corrupt_result(problem, result)
     if result.is_optimal:
@@ -237,7 +273,7 @@ def solve_ilp(
 ) -> IlpResult:
     """Solve an ILP with the chosen backend (telemetry discarded).
 
-    ``auto`` uses HiGHS when present but never trusts a float answer: an
+    ``auto`` and ``scipy`` use HiGHS but never trust a float answer: an
     OPTIMAL point is rounded to integers and re-checked against every
     constraint (with an exact-solver fallback on violation), and an
     INFEASIBLE is trusted only with Farkas multipliers that

@@ -11,7 +11,7 @@ uses: the CLI, the engine post-pass, and the experiment gates.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 class Severity(enum.Enum):
@@ -60,17 +60,6 @@ class Diagnostic:
         if where:
             parts.append(where)
         return ":".join(parts) if parts else "<network>"
-
-    def with_location(
-        self, file: str | None = None, line: int | None = None
-    ) -> "Diagnostic":
-        """A copy carrying file/line coordinates (emitters need them)."""
-        return replace(
-            self,
-            file=file if file is not None else self.file,
-            line=line if line is not None else self.line,
-        )
-
 
 @dataclass
 class LintReport:

@@ -64,7 +64,7 @@ def divide_functions(
     nvars = len(extended)
     lit = 1 << (nvars - 1)
     cubes = [Cube(q.pos | lit, q.neg, nvars) for q in _grow(quotient, nvars)]
-    cubes.extend(_grow_cubes(remainder, nvars))
+    cubes.extend(_grow(remainder, nvars))
     rewritten = BooleanFunction(Cover(cubes, nvars), extended).trimmed()
     if rewritten.num_literals >= f.num_literals:
         return None
@@ -73,10 +73,6 @@ def divide_functions(
 
 def _grow(cover: Cover, nvars: int) -> list[Cube]:
     return [Cube(c.pos, c.neg, nvars) for c in cover.cubes]
-
-
-def _grow_cubes(cover: Cover, nvars: int) -> list[Cube]:
-    return _grow(cover, nvars)
 
 
 # ----------------------------------------------------------------------

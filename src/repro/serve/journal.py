@@ -47,6 +47,9 @@ class JobJournal:
         self._lock = threading.Lock()
         self.corrupt_lines = 0
         self.rejected_header = False
+        # After a rejected header, records appended behind it would never
+        # load again: the next append starts the file over.
+        self._needs_rewrite = False
         self.directory.mkdir(parents=True, exist_ok=True)
 
     def _header(self) -> dict:
@@ -58,12 +61,13 @@ class JobJournal:
         line = json.dumps(record, separators=(",", ":"), sort_keys=True)
         with self._lock:
             try:
-                fresh = not self.path.exists()
-                with open(self.path, "a") as handle:
+                fresh = self._needs_rewrite or not self.path.exists()
+                with open(self.path, "w" if fresh else "a") as handle:
                     if fresh:
                         handle.write(json.dumps(self._header()) + "\n")
                     handle.write(line + "\n")
                     handle.flush()
+                self._needs_rewrite = False
             except OSError as exc:
                 logger.warning(
                     "jobs journal %s append failed (%s)", self.path, exc
@@ -85,6 +89,7 @@ class JobJournal:
                     handle.flush()
                     os.fsync(handle.fileno())
                 os.replace(tmp, self.path)
+                self._needs_rewrite = False
             except OSError as exc:
                 logger.warning(
                     "jobs journal %s compaction failed (%s)", self.path, exc
@@ -98,7 +103,8 @@ class JobJournal:
 
         Corrupt lines and records without an ``id`` are counted and
         skipped; a missing, unreadable, or header-mismatched file loads as
-        empty (the daemon starts with no history rather than failing).
+        empty (the daemon starts with no history rather than failing), and
+        a header-mismatched one is started over by the next append.
         """
         folded: dict[str, dict] = {}
         try:
@@ -130,6 +136,7 @@ class JobJournal:
                 self.path,
             )
             self.rejected_header = True
+            self._needs_rewrite = True
             return folded
         for line in lines[1:]:
             if not line.strip():

@@ -193,6 +193,11 @@ class TestTablePath:
     def test_dc_set_of_another_width_raises(self):
         with pytest.raises(CoverError):
             minimize(Cover.from_strings(["11-"]), Cover.from_strings(["10"]))
+        # Constant covers are checked too, before their shortcut.
+        with pytest.raises(CoverError):
+            minimize(Cover.zero(3), Cover.from_strings(["10"]))
+        with pytest.raises(CoverError):
+            minimize(Cover.from_strings(["1-", "0-"]), Cover.from_strings(["1"]))
 
 
 class TestWideLoop:

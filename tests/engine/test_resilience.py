@@ -27,7 +27,7 @@ from repro.engine.scheduler import run_synthesis
 from repro.engine.tasks import preserved_set
 from repro.errors import DeadlineExceeded, SynthesisError
 from repro.faults.injector import CHAOS_ENV
-from repro.ilp.backends import get_backend
+from repro.ilp.scipy_backend import have_scipy
 from repro.lint.diagnostics import LintOptions
 from repro.lint.runner import run_lint
 from repro.network.scripts import prepare_tels
@@ -210,7 +210,7 @@ class TestChaosStalls:
 
 class TestChaosSolver:
     def test_solver_timeouts_fall_back_to_exact(self, monkeypatch):
-        if not get_backend("scipy").available():
+        if not have_scipy():
             pytest.skip("solver chaos targets the scipy attempt")
         monkeypatch.setenv(CHAOS_ENV, "solver=1.0:2")
         source = _source()
@@ -224,7 +224,7 @@ class TestChaosSolver:
         _check(source, result)
 
     def test_wrong_solver_answers_are_caught(self, monkeypatch):
-        if not get_backend("scipy").available():
+        if not have_scipy():
             pytest.skip("solver chaos targets the scipy attempt")
         monkeypatch.setenv(CHAOS_ENV, "solver-wrong=1.0:4")
         source = _source()

@@ -265,7 +265,8 @@ class TestParmixStressor:
     def test_auto_writes_the_exact_backends_bytes(self, runs, model):
         # Every parmix ILP is infeasible: a certified scipy INFEASIBLE is
         # the same answer the exact solver proves, so the networks agree
-        # byte for byte and, with scipy, no exact solve runs.
+        # byte for byte and, with scipy, no exact solve runs.  The scipy
+        # backend, skipped without scipy, runs the same verified chain.
         from repro.core.synthesis import (
             SynthesisOptions,
             synthesize_with_report,
@@ -277,18 +278,19 @@ class TestParmixStressor:
 
         source, results = runs
         network, report = results[model]
-        exact, _ = synthesize_with_report(
-            prepare_tels(source),
-            SynthesisOptions(
-                psi=9,
-                gate_model=model,
-                preserve_sharing=False,
-                analyze=True,
-                backend="exact",
-            ),
-            store=ResultStore(),
-        )
-        assert to_thblif(network) == to_thblif(exact)
+        for backend in ("exact", "scipy") if have_scipy() else ("exact",):
+            reference, _ = synthesize_with_report(
+                prepare_tels(source),
+                SynthesisOptions(
+                    psi=9,
+                    gate_model=model,
+                    preserve_sharing=False,
+                    analyze=True,
+                    backend=backend,
+                ),
+                store=ResultStore(),
+            )
+            assert to_thblif(network) == to_thblif(reference), backend
         stats = report.checker.stats
         assert stats.ilp_solved > 0
         if have_scipy():

@@ -1,4 +1,4 @@
-"""Backend dispatch, registry, and verification-chain tests."""
+"""Backend dispatch and verification-chain tests."""
 
 import random
 from fractions import Fraction
@@ -6,33 +6,37 @@ from fractions import Fraction
 import pytest
 
 from repro.errors import IlpError
-from repro.ilp import backends as backends_mod
-from repro.ilp.backends import (
-    get_backend,
-    register_backend,
-    registered_backends,
-)
+from repro.ilp import scipy_backend
 from repro.ilp.model import IlpProblem, IlpResult, Status
 from repro.ilp.scipy_backend import have_scipy, solve_scipy
-from repro.ilp.solve import available_backends, solve_ilp, solve_ilp_info
+from repro.ilp.solve import (
+    BACKENDS,
+    available_backends,
+    solve_ilp,
+    solve_ilp_info,
+)
 
 needs_scipy = pytest.mark.skipif(not have_scipy(), reason="scipy missing")
 
 
-class _FakeBackend:
-    """A scriptable backend for testing the dispatch layer's verification."""
+class _FakeHighs:
+    """A scriptable HiGHS call for testing the dispatch's verification."""
 
-    def __init__(self, name, result):
-        self.name = name
+    def __init__(self, result):
         self.result = result
         self.calls = 0
 
-    def available(self):
-        return True
-
-    def solve(self, problem, warm_start=None):
+    def __call__(self, problem, time_limit_s=None):
         self.calls += 1
         return self.result
+
+
+def _fake_highs(monkeypatch, result) -> _FakeHighs:
+    """Make every HiGHS call answer ``result``, with or without scipy."""
+    fake = _FakeHighs(result)
+    monkeypatch.setattr(scipy_backend, "have_scipy", lambda: True)
+    monkeypatch.setattr(scipy_backend, "solve_scipy", fake)
+    return fake
 
 
 def _simple_problem() -> IlpProblem:
@@ -72,54 +76,28 @@ class TestDispatch:
 
 
 class TestRegistry:
-    def test_builtin_backends_registered(self):
-        names = registered_backends()
-        assert "exact" in names
-        assert "scipy" in names  # registered even when unavailable
+    """The accepted names are the fixed :data:`BACKENDS` tuple."""
 
     def test_available_is_subset_of_registered(self):
-        assert set(available_backends()) <= set(registered_backends())
-
-    def test_reserved_and_empty_names_rejected(self):
-        with pytest.raises(IlpError):
-            register_backend(_FakeBackend("auto", None))
-        with pytest.raises(IlpError):
-            register_backend(_FakeBackend("", None))
+        assert set(available_backends()) <= set(BACKENDS)
 
     def test_unknown_name_lists_registered(self):
-        with pytest.raises(IlpError, match="exact"):
-            get_backend("gurobi")
-
-    def test_registered_backend_reachable_through_dispatch(self, monkeypatch):
-        stub = _FakeBackend(
-            "stub",
-            IlpResult(
-                Status.OPTIMAL,
-                Fraction(3),
-                (Fraction(3), Fraction(0)),
-            ),
-        )
-        monkeypatch.setitem(backends_mod._REGISTRY, "stub", stub)
-        result, info = solve_ilp_info(_simple_problem(), backend="stub")
-        assert stub.calls == 1
-        assert result.status is Status.OPTIMAL
-        assert info.backend == "stub"
-        assert info.verified
+        with pytest.raises(IlpError, match="auto, exact, scipy"):
+            solve_ilp(_simple_problem(), backend="gurobi")
 
 
 class TestVerificationChain:
     def test_corrupt_scipy_optimal_falls_back_to_exact(self, monkeypatch):
         # An "OPTIMAL" point violating the model must never be returned:
         # the auto chain re-solves with the exact backend.
-        fake = _FakeBackend(
-            "scipy",
+        fake = _fake_highs(
+            monkeypatch,
             IlpResult(
                 Status.OPTIMAL,
                 Fraction(0),
                 (Fraction(0), Fraction(0)),
             ),
         )
-        monkeypatch.setitem(backends_mod._REGISTRY, "scipy", fake)
         result, info = solve_ilp_info(_simple_problem(), backend="auto")
         assert fake.calls == 1
         assert result.status is Status.OPTIMAL
@@ -132,38 +110,23 @@ class TestVerificationChain:
 
     def test_scipy_infeasible_is_reproved_by_exact(self, monkeypatch):
         # A float INFEASIBLE on a feasible model must be overturned.
-        fake = _FakeBackend("scipy", IlpResult(Status.INFEASIBLE))
-        monkeypatch.setitem(backends_mod._REGISTRY, "scipy", fake)
+        _fake_highs(monkeypatch, IlpResult(Status.INFEASIBLE))
         result, info = solve_ilp_info(_simple_problem(), backend="auto")
         assert result.status is Status.OPTIMAL
         assert result.objective == 3
         assert info.fallback
         assert info.backend == "exact"
 
-    def test_named_backend_corrupt_optimal_raises(self, monkeypatch):
-        fake = _FakeBackend(
-            "liar",
-            IlpResult(
-                Status.OPTIMAL,
-                Fraction(0),
-                (Fraction(0), Fraction(0)),
-            ),
-        )
-        monkeypatch.setitem(backends_mod._REGISTRY, "liar", fake)
-        with pytest.raises(IlpError, match="violating"):
-            solve_ilp(_simple_problem(), backend="liar")
-
     def test_fractional_scipy_point_is_rounded_and_accepted(self, monkeypatch):
         # Float noise on an integral optimum is repaired, not rejected.
-        fake = _FakeBackend(
-            "scipy",
+        _fake_highs(
+            monkeypatch,
             IlpResult(
                 Status.OPTIMAL,
                 Fraction(3),
                 (Fraction(2999999, 1000000), Fraction(1, 1000000)),
             ),
         )
-        monkeypatch.setitem(backends_mod._REGISTRY, "scipy", fake)
         result, info = solve_ilp_info(_simple_problem(), backend="auto")
         assert result.status is Status.OPTIMAL
         assert result.int_values() == (3, 0)
@@ -192,12 +155,11 @@ class TestFarkasCertificate:
     """A scipy INFEASIBLE is trusted only with an exactly checked proof."""
 
     def _auto(self, monkeypatch, problem, certificate, **flags):
-        """Run auto over a fake scipy answering INFEASIBLE with ``certificate``."""
-        fake = _FakeBackend(
-            "scipy",
+        """Run auto over a fake HiGHS answering INFEASIBLE with ``certificate``."""
+        fake = _fake_highs(
+            monkeypatch,
             IlpResult(Status.INFEASIBLE, certificate=certificate, **flags),
         )
-        monkeypatch.setitem(backends_mod._REGISTRY, "scipy", fake)
         result, info = solve_ilp_info(problem, backend="auto")
         assert fake.calls == 1
         return result, info
@@ -283,6 +245,51 @@ class TestFarkasCertificate:
         assert result.status is Status.INFEASIBLE
         assert problem.is_infeasibility_certificate(result.certificate)
         assert all(y.denominator <= 10**6 for y in result.certificate)
+
+
+class TestScipyBackendIsVerified:
+    """``backend="scipy"`` runs the same verification chain as ``auto``."""
+
+    UNPROVEN = (
+        IlpResult(Status.INFEASIBLE),
+        IlpResult(Status.INFEASIBLE, limit_hit=True, timed_out=True),
+    )
+
+    def test_unproven_infeasible_is_reproved(self, monkeypatch):
+        for answer in self.UNPROVEN:
+            fake = _fake_highs(monkeypatch, answer)
+            result, info = solve_ilp_info(_simple_problem(), backend="scipy")
+            assert fake.calls == 1
+            assert result.status is Status.OPTIMAL
+            assert result.objective == 3
+            assert info.backend == "exact"
+            assert info.fallback
+            assert info.verified
+
+    def test_timed_out_highs_never_caches_not_threshold(
+        self, monkeypatch, tmp_path
+    ):
+        # A threshold function (weights 2 1 1 1, T 3): an unproven
+        # INFEASIBLE must neither reach the checker nor its disk cache,
+        # whose keys carry no backend.
+        from repro.boolean.cover import Cover
+        from repro.cache.store import open_cache
+        from repro.core.identify import ThresholdChecker
+        from repro.engine.store import ResultStore
+
+        cover = Cover.from_strings(["11--", "1-1-", "1--1", "-111"])
+        _fake_highs(monkeypatch, self.UNPROVEN[1])
+        store = ResultStore.with_cache_dir(tmp_path)
+        checker = ThresholdChecker(
+            backend="scipy", use_fastpath=False, store=store
+        )
+        assert checker.check(cover) is not None
+        store.flush_persistent()
+        on_disk = open_cache(tmp_path)
+        assert len(on_disk) == on_disk.solved_count == 1
+        monkeypatch.undo()
+        later = ThresholdChecker(store=ResultStore.with_cache_dir(tmp_path))
+        assert str(later.check(cover)) == "<2, 1, 1, 1; 3>"
 
 
 @needs_scipy

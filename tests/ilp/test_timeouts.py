@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
+import pytest
+
+from repro.boolean.cover import Cover
+from repro.core.identify import ThresholdChecker
+from repro.engine.store import ResultStore
+from repro.errors import DeadlineExceeded
 from repro.faults.injector import CHAOS_ENV
-from repro.ilp.backends import SolveAttempt, SolveInfo, get_backend
 from repro.ilp.branch_bound import solve_bb
 from repro.ilp.model import IlpProblem, Status
-from repro.ilp.solve import solve_ilp_info
+from repro.ilp.scipy_backend import have_scipy
+from repro.ilp.solve import SolveAttempt, SolveInfo, solve_ilp_info
 
 
 def branching_problem() -> IlpProblem:
@@ -64,9 +72,7 @@ class TestDispatchTimeout:
 
 class TestSolverChaos:
     def test_injected_timeout_falls_back_to_exact(self, monkeypatch):
-        if not get_backend("scipy").available():
-            import pytest
-
+        if not have_scipy():
             pytest.skip("solver chaos perturbs the scipy attempt")
         monkeypatch.setenv(CHAOS_ENV, "solver=1.0:0")
         result, info = solve_ilp_info(branching_problem(), backend="auto")
@@ -79,9 +85,7 @@ class TestSolverChaos:
         assert info.attempts[0].timed_out
 
     def test_injected_wrong_answer_is_re_proved(self, monkeypatch):
-        if not get_backend("scipy").available():
-            import pytest
-
+        if not have_scipy():
             pytest.skip("solver chaos perturbs the scipy attempt")
         monkeypatch.setenv(CHAOS_ENV, "solver-wrong=1.0:0")
         result, info = solve_ilp_info(branching_problem(), backend="auto")
@@ -96,9 +100,7 @@ class TestSolverChaos:
         # under either solver site the chain never sees it: "solver" skips
         # the scipy attempt, and "solver-wrong" turns the INFEASIBLE into
         # an all-zero OPTIMAL that violates the row.
-        if not get_backend("scipy").available():
-            import pytest
-
+        if not have_scipy():
             pytest.skip("solver chaos perturbs the scipy attempt")
         p = IlpProblem(num_vars=2, objective=[1, 1])
         p.add_constraint([1, 1], "<=", -1)
@@ -111,3 +113,38 @@ class TestSolverChaos:
             assert info.solves_for("exact") == 1, site
             # Only the "solver" site fakes a timed-out scipy attempt.
             assert info.attempts[0].timed_out == (site == "solver"), site
+
+
+class _NoTimeForTheSolver:
+    """A deadline the checker's entry check passes, with 0 s left after."""
+
+    def check(self, what: str = "") -> None:
+        pass
+
+    def remaining(self) -> float:
+        return 0.0
+
+
+class TestCheckerTimeout:
+    """A timed-out solve is never stored as a "not threshold" verdict."""
+
+    def test_timed_out_ilp_raises_and_stores_nothing(self, tmp_path):
+        # 2-of-9: a threshold function (all weights 1, T 2) past the fast
+        # path, so the ILP decides it.
+        rows = []
+        for i, j in combinations(range(9), 2):
+            row = ["-"] * 9
+            row[i] = row[j] = "1"
+            rows.append("".join(row))
+        cover = Cover.from_strings(rows)
+        for backend in ("auto", "exact"):
+            store = ResultStore.with_cache_dir(tmp_path)
+            checker = ThresholdChecker(
+                backend=backend, store=store, deadline=_NoTimeForTheSolver()
+            )
+            with pytest.raises(DeadlineExceeded):
+                checker.check(cover)
+            assert checker.stats.solver_timeouts == 1
+            store.flush_persistent()
+        fresh = ThresholdChecker(store=ResultStore.with_cache_dir(tmp_path))
+        assert str(fresh.check(cover)) == "<1, 1, 1, 1, 1, 1, 1, 1, 1; 2>"

@@ -44,6 +44,18 @@ class TestJournalFile:
         assert fresh.load() == {}
         assert fresh.rejected_header
 
+    def test_jobs_accepted_after_a_torn_header_survive(self, tmp_path):
+        path = journal_file(tmp_path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text('{"format": "tels-j')  # crash inside the header
+        journal = JobJournal(tmp_path)
+        assert journal.load() == {}
+        journal.append({"id": "j1", "state": "queued"})
+        journal.append({"id": "j1", "state": "done"})
+        reborn = JobJournal(tmp_path)
+        assert reborn.load() == {"j1": {"id": "j1", "state": "done"}}
+        assert not reborn.rejected_header
+
     def test_compact_rewrites_one_line_per_job(self, tmp_path):
         journal = JobJournal(tmp_path)
         for state in ("queued", "running", "done"):
