@@ -93,8 +93,8 @@ class SynthesisOptions:
             every unfinished cone degrades.
         max_attempts: dispatch attempts per cone for transient errors
             before degrading.
-        poison_crashes: worker crashes a cone may cause (or witness) before
-            it is quarantined and degraded.
+        poison_crashes: worker crashes charged to a cone before it is
+            quarantined and degraded.
         retry_backoff_s: base of the exponential retry backoff
             (deterministically jittered from ``seed``, capped by
             :class:`~repro.faults.retry.RetryPolicy`).

@@ -23,10 +23,15 @@ Resilience semantics (see docs/RESILIENCE.md):
   ``"error"``) instead of poisoning the run; deterministic
   :class:`~repro.errors.SynthesisError` still propagates.
 * A dead worker process breaks the whole pool
-  (:class:`~concurrent.futures.process.BrokenProcessPool`); the executor
-  cannot attribute the crash, so *every* in-flight cone is reported as a
-  ``"crash"`` failure (blame-all, the scheduler's quarantine threshold
-  absorbs the over-counting) and the pool is rebuilt from the live store.
+  (:class:`~concurrent.futures.process.BrokenProcessPool`), and the pool
+  is rebuilt from the live store.  With one cone in flight, that cone
+  caused the crash and is reported as a ``"crash"`` failure.  With
+  several, none can be blamed: each comes back ``"evicted"`` (a free
+  requeue at the same attempt) and becomes a *suspect*.  While a suspect
+  is unresolved the executor runs one cone at a time, suspects first, and
+  holds every other submission, so a cone that crashes again — chaos
+  decisions are keyed on ``task:attempt``, like a deterministic fault —
+  does so alone and is charged then.
 * When a per-cone deadline is configured, a watchdog sweep kills the pool
   if a cone overruns its budget plus grace (a worker stuck in non-Python
   code never reaches the cooperative check): the overdue cones fail as
@@ -228,6 +233,11 @@ class ProcessExecutor:
         self._jobs = jobs
         #: future -> (task, attempt, monotonic submit time)
         self._inflight: dict[Future, tuple[SynthTask, int, float]] = {}
+        #: submissions not yet handed to the pool, in submission order
+        self._held: list[tuple[SynthTask, int]] = []
+        #: cones in flight at a break they cannot be blamed for, until
+        #: they end alone without being requeued
+        self._suspects: set[str] = set()
         #: failures minted outside wait() (a submit hitting a broken pool);
         #: drained by the next wait() call.
         self._pending: list[TaskFailure] = []
@@ -252,20 +262,41 @@ class ProcessExecutor:
         )
 
     def submit(self, task: SynthTask, attempt: int = 1) -> None:
-        # A worker can die between wait() calls, breaking the pool before
-        # wait() gets to observe it; submitting to a broken pool raises
-        # synchronously.  Resolve the break here — every in-flight cone is
-        # blamed (same as the wait()-side path), the pool is rebuilt, and
-        # this task retries on the fresh pool.
-        try:
-            future = self._pool.submit(_worker_run, task.root, attempt)
-        except BrokenProcessPool:
-            self._pending.extend(self._evict_all(kind="crash"))
-            self._rebuild()
-            future = self._pool.submit(_worker_run, task.root, attempt)
-        self._inflight[future] = (task, attempt, time.monotonic())
+        self._held.append((task, attempt))
+        if not self._suspects:
+            self._release()
+
+    def _release(self) -> None:
+        """Hand held cones to the pool: all of them, or, while a suspect is
+        unresolved, one at a time, held suspects before the rest.
+
+        With suspects this runs only from wait(), after the caller has
+        requeued every failure: a suspect neither held nor in flight then
+        ended without a requeue, which resolves it.
+        """
+        while self._held and not (self._suspects and self._inflight):
+            held = [task.task_id for task, _attempt in self._held]
+            self._suspects.intersection_update(held)
+            index = next(
+                (i for i, t in enumerate(held) if t in self._suspects), 0
+            )
+            task, attempt = self._held[index]
+            # A worker can die between wait() calls, breaking the pool
+            # before wait() gets to observe it; submitting to a broken pool
+            # raises synchronously.  Resolve the break like wait() does and
+            # launch nothing more until its failures are handled.
+            try:
+                future = self._pool.submit(_worker_run, task.root, attempt)
+            except BrokenProcessPool:
+                self._pending.extend(self._blame([]))
+                self._rebuild()
+                return
+            del self._held[index]
+            self._inflight[future] = (task, attempt, time.monotonic())
 
     def wait(self) -> tuple[list[TaskResult], list[TaskFailure]]:
+        if not self._pending:
+            self._release()
         if self._pending:
             drained = self._pending
             self._pending = []
@@ -277,21 +308,13 @@ class ProcessExecutor:
         )
         results: list[TaskResult] = []
         failures: list[TaskFailure] = []
-        broken = False
+        broken: list[tuple[SynthTask, int]] = []
         for future in done:
             task, attempt, _started = self._inflight.pop(future)
             try:
                 result = future.result()
             except BrokenProcessPool:
-                broken = True
-                failures.append(
-                    TaskFailure(
-                        task.task_id,
-                        "crash",
-                        "worker process died (pool broke)",
-                        attempt,
-                    )
-                )
+                broken.append((task, attempt))
             except DeadlineExceeded as exc:
                 failures.append(
                     TaskFailure(task.task_id, "timeout", str(exc), attempt)
@@ -303,11 +326,38 @@ class ProcessExecutor:
             else:
                 results.append(result)
         if broken:
-            failures.extend(self._evict_all(kind="crash"))
+            failures.extend(self._blame(broken))
             self._rebuild()
         elif deadline_s is not None:
             failures.extend(self._reap_overdue(deadline_s))
         return results, failures
+
+    def _blame(
+        self, broken: list[tuple[SynthTask, int]]
+    ) -> list[TaskFailure]:
+        """Failures for the cones in flight when the pool broke.
+
+        ``broken`` are the cones whose futures already raised; the rest of
+        the in-flight table was lost with them.  A lone cone caused the
+        crash; several are each evicted and become suspects.
+        """
+        lost = broken + [
+            (task, attempt)
+            for task, attempt, _started in self._inflight.values()
+        ]
+        self._inflight.clear()
+        kind = "crash" if len(lost) == 1 else "evicted"
+        if kind == "evicted":
+            self._suspects.update(task.task_id for task, _attempt in lost)
+        return [
+            TaskFailure(
+                task.task_id,
+                kind,
+                f"worker process died with {len(lost)} cones in flight",
+                attempt,
+            )
+            for task, attempt in lost
+        ]
 
     def _reap_overdue(self, deadline_s: float) -> list[TaskFailure]:
         """Kill the pool when a cone overruns deadline + grace.
@@ -342,14 +392,14 @@ class ProcessExecutor:
                 )
             )
         self.watchdog_kills += len(overdue)
-        failures.extend(self._evict_all(kind="evicted"))
+        failures.extend(self._evict_all())
         self._kill_pool()
         self._rebuild()
         return failures
 
-    def _evict_all(self, kind: str) -> list[TaskFailure]:
+    def _evict_all(self) -> list[TaskFailure]:
         failures = [
-            TaskFailure(task.task_id, kind, "pool torn down", attempt)
+            TaskFailure(task.task_id, "evicted", "pool torn down", attempt)
             for task, attempt, _started in self._inflight.values()
         ]
         self._inflight.clear()
@@ -374,6 +424,7 @@ class ProcessExecutor:
             future.cancel()
         self._pool.shutdown(wait=True, cancel_futures=True)
         self._inflight.clear()
+        self._held.clear()
 
 
 def make_executor(

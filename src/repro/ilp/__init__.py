@@ -7,8 +7,8 @@ provides:
 * :mod:`repro.ilp.model` — a tiny declarative model (:class:`IlpProblem`);
 * :mod:`repro.ilp.simplex` — an exact rational two-phase simplex;
 * :mod:`repro.ilp.branch_bound` — branch & bound on top of the simplex;
-* :mod:`repro.ilp.scipy_backend` — optional HiGHS solver via
-  :func:`scipy.optimize.milp`, with a Farkas certificate for an INFEASIBLE;
+* :mod:`repro.ilp.scipy_backend` — optional HiGHS solver: a Farkas LP
+  that certifies an LP-infeasible model, then :func:`scipy.optimize.milp`;
 * :func:`repro.ilp.solve.solve_ilp` — the one dispatch over the
   ``BACKENDS`` names ``auto``, ``exact`` and ``scipy``.
 

@@ -1,12 +1,13 @@
-"""HiGHS mixed-integer backend via :func:`scipy.optimize.milp`.
+"""HiGHS backend: a Farkas LP first, then :func:`scipy.optimize.milp`.
 
 Float-based but fast; results are rationalized back to exact Fractions and
 re-verified against the model, so a numerically sloppy answer can never leak
 into the synthesis flow (an invalid point falls back to the exact solver at
-the dispatch layer).  An INFEASIBLE comes back with Farkas multipliers when
-one more HiGHS LP finds them: the dispatch layer checks those exactly
-(:meth:`~repro.ilp.model.IlpProblem.is_infeasibility_certificate`) and only
-then trusts the answer without re-solving it.
+the dispatch layer).  Every solve of a model with rows starts with one HiGHS
+LP for Farkas multipliers; when they check exactly
+(:meth:`~repro.ilp.model.IlpProblem.is_infeasibility_certificate`), the
+answer is INFEASIBLE with that certificate and the integer search never
+runs.  The dispatch layer checks the certificate again before it trusts it.
 """
 
 from __future__ import annotations
@@ -31,12 +32,17 @@ def solve_scipy(
 ) -> IlpResult:
     """Solve with HiGHS; returns INFEASIBLE on any numerical doubt.
 
-    ``time_limit_s`` maps to HiGHS's ``time_limit`` option; a run HiGHS
-    reports as stopped by an iteration or time limit (status 1) comes back
-    as ``timed_out`` INFEASIBLE — a declared answer the dispatch layer
-    never trusts semantically (it falls back to the exact solver, whose own
-    budget is governed by the caller's deadline).  Only a proven INFEASIBLE
-    (status 2) is offered a certificate (:func:`_farkas_certificate`).
+    A model with rows first gets one Farkas LP (:func:`_farkas_certificate`):
+    multipliers that check exactly prove the LP relaxation empty, and the
+    answer is INFEASIBLE with them, without calling ``milp``.  Otherwise
+    ``milp`` runs on whatever is left of ``time_limit_s``, HiGHS's
+    ``time_limit`` option.  A run HiGHS reports as stopped by an iteration
+    or time limit (status 1) comes back as ``timed_out`` INFEASIBLE — a
+    declared answer the dispatch layer never trusts semantically (it falls
+    back to the exact solver, whose own budget is governed by the caller's
+    deadline).  An INFEASIBLE from ``milp`` (status 2) carries no
+    certificate, since the LP found none that checks, so the dispatch layer
+    re-proves it too.
     """
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint, milp
@@ -50,13 +56,21 @@ def solve_scipy(
     options = {}
     if time_limit_s is not None:
         options["time_limit"] = max(time_limit_s, 0.0)
-    # One constraint object for all rows: HiGHS gets the model as one
-    # matrix, and the certificate LP reuses it.
-    constraints = (
-        [LinearConstraint(matrix, np.where(le, -np.inf, rhs),
-                          np.where(ge, np.inf, rhs))]
-        if rows else []
-    )
+    constraints = []
+    if rows:
+        certificate = _farkas_certificate(matrix, rhs, le, ge, options)
+        if problem.is_infeasibility_certificate(certificate):
+            return IlpResult(Status.INFEASIBLE, certificate=certificate)
+        if time_limit_s is not None:
+            elapsed = time.perf_counter() - started
+            options["time_limit"] = max(time_limit_s - elapsed, 0.0)
+        # One constraint object for all rows: HiGHS gets the model as one
+        # matrix, as the certificate LP did.
+        constraints = [
+            LinearConstraint(
+                matrix, np.where(le, -np.inf, rhs), np.where(ge, np.inf, rhs)
+            )
+        ]
     result = milp(
         c=np.array([float(v) for v in problem.objective]),
         constraints=constraints,
@@ -64,14 +78,8 @@ def solve_scipy(
         bounds=Bounds(lb=0.0, ub=np.inf),
         options=options,
     )
-    if result.status == 2:  # infeasible
-        if time_limit_s is not None:
-            elapsed = time.perf_counter() - started
-            options["time_limit"] = max(time_limit_s - elapsed, 0.0)
-        return IlpResult(
-            Status.INFEASIBLE,
-            certificate=_farkas_certificate(matrix, rhs, le, ge, options),
-        )
+    if result.status == 2:  # infeasible, with no checked certificate
+        return IlpResult(Status.INFEASIBLE)
     if result.status == 3:  # unbounded
         return IlpResult(Status.UNBOUNDED)
     if result.status == 1:  # iteration or time limit reached

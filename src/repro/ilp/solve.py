@@ -13,10 +13,13 @@ The *verification chain*: a HiGHS OPTIMAL is rounded to integers and
 re-checked against every constraint of the model (falling back to the
 exact solver on any violation), and a HiGHS INFEASIBLE is trusted only when
 its Farkas certificate checks exactly against the model, because threshold
-identification treats infeasibility as a *semantic* answer.  An INFEASIBLE
+identification treats infeasibility as a *semantic* answer.  HiGHS solves
+the certificate LP before ``milp`` (:mod:`repro.ilp.scipy_backend`), so an
+LP-infeasible model is answered by one LP and this check.  An INFEASIBLE
 without a confirmed certificate — a timed-out or rounded-away answer, or an
 integer-only infeasibility such as a ``max_weight`` bound the LP relaxation
-can meet — is re-proved by the exact solver.
+can meet — is re-proved by the exact solver.  A model without variables,
+which HiGHS rejects, goes to the exact solver under every backend name.
 
 Both solvers take the model exactly as given: the checker's Fig. 6
 formulation already eliminates redundant constraints, so there is no
@@ -163,13 +166,16 @@ def solve_ilp_info(
         raise IlpError(
             f"unknown backend {backend!r}; choose one of {', '.join(BACKENDS)}"
         )
-    info = SolveInfo()
-    if backend != "exact" and scipy_backend.have_scipy():
-        result = _solve_verified(problem, info, warm_start, timeout_s)
-    elif backend != "scipy":
-        result = _solve_exact(problem, info, warm_start, timeout_s)
-    else:
+    scipy = backend != "exact" and scipy_backend.have_scipy()
+    if backend == "scipy" and not scipy:
         raise IlpError("scipy backend requested but scipy is unavailable")
+    info = SolveInfo()
+    # HiGHS rejects a model without variables; the exact solver decides it
+    # by its rows alone.
+    if scipy and problem.num_vars:
+        result = _solve_verified(problem, info, warm_start, timeout_s)
+    else:
+        result = _solve_exact(problem, info, warm_start, timeout_s)
     return result, info
 
 

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.benchgen.extended import build_extended_benchmark
 from repro.benchgen.paper_examples import motivational_network
 from repro.benchgen.random_logic import random_logic_network
 from repro.core.synthesis import SynthesisOptions
@@ -28,6 +29,7 @@ from repro.engine.tasks import preserved_set
 from repro.errors import DeadlineExceeded, SynthesisError
 from repro.faults.injector import CHAOS_ENV
 from repro.ilp.scipy_backend import have_scipy
+from repro.io.thblif import to_thblif
 from repro.lint.diagnostics import LintOptions
 from repro.lint.runner import run_lint
 from repro.network.scripts import prepare_tels
@@ -284,3 +286,20 @@ class TestBrokenPoolRecovery:
         assert recovered.report.degraded_cones == 0
         assert _gate_list(recovered.network) == _gate_list(serial.network)
         _check(source, recovered)
+
+    def test_a_crash_is_charged_only_to_the_cone_that_crashed(
+        self, monkeypatch
+    ):
+        """comp at a 15% crash rate: a break with several cones in flight
+        blames none of them; each reruns alone, and only a cone that
+        crashes alone is charged.  No comp cone crashes three attempts in a
+        row at this seed, so none is quarantined and the network matches
+        the serial one byte for byte."""
+        net = prepare_tels(build_extended_benchmark("comp"))
+        monkeypatch.delenv(CHAOS_ENV, raising=False)
+        serial = run_synthesis(net, SynthesisOptions())
+        monkeypatch.setenv(CHAOS_ENV, "worker=0.15:2")
+        pooled = run_synthesis(net, SynthesisOptions(), jobs=2)
+        assert pooled.trace.pool_rebuilds > 0
+        assert pooled.trace.quarantined == []
+        assert to_thblif(pooled.network) == to_thblif(serial.network)

@@ -247,6 +247,86 @@ class TestFarkasCertificate:
         assert all(y.denominator <= 10**6 for y in result.certificate)
 
 
+@needs_scipy
+class TestFarkasFirst:
+    """HiGHS solves the certificate LP before ``milp``, and only once."""
+
+    @staticmethod
+    def _spy_milp(monkeypatch) -> list:
+        import scipy.optimize
+
+        calls = []
+        real = scipy.optimize.milp
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "milp", spy)
+        return calls
+
+    def test_lp_infeasible_models_never_reach_milp(self, monkeypatch):
+        import scipy.optimize
+
+        from repro.boolean.cover import Cover
+        from repro.core.identify import ThresholdChecker
+
+        def no_milp(*args, **kwargs):
+            raise AssertionError("milp ran on an LP-infeasible model")
+
+        monkeypatch.setattr(scipy.optimize, "milp", no_milp)
+        fig6 = ThresholdChecker().formulate_only(
+            Cover.from_strings(["11--", "--11"])
+        )
+        for problem in (fig6, _infeasible_problem()):
+            result, info = solve_ilp_info(problem, backend="auto")
+            assert result.status is Status.INFEASIBLE
+            assert problem.is_infeasibility_certificate(result.certificate)
+            assert info.backend == "scipy"
+            assert info.verified
+            assert len(info.attempts) == 1
+            assert not info.fallback
+
+    def test_lp_feasible_models_still_reach_milp(self, monkeypatch):
+        calls = self._spy_milp(monkeypatch)
+        result, info = solve_ilp_info(_simple_problem(), backend="auto")
+        assert len(calls) == 1
+        assert result.status is Status.OPTIMAL
+        assert result.objective == 3
+        assert info.backend == "scipy"
+        assert not info.fallback
+        # 3x == 1: the LP finds no certificate, milp no integer point, and
+        # the exact solver proves the INFEASIBLE.
+        p = IlpProblem(num_vars=1, objective=[1])
+        p.add_constraint([3], "==", 1)
+        result, info = solve_ilp_info(p, backend="auto")
+        assert len(calls) == 2
+        assert result.status is Status.INFEASIBLE
+        assert info.backend == "exact"
+        assert info.fallback
+        assert info.solves_for("scipy") == info.solves_for("exact") == 1
+
+    def test_rejected_multipliers_still_run_milp(self, monkeypatch):
+        # A wrong-signed vector on the <= row fails the exact check: milp
+        # runs, its INFEASIBLE carries no certificate, and the exact solver
+        # re-proves it.
+        calls = self._spy_milp(monkeypatch)
+        lps = []
+
+        def wrong_signed(*args):
+            lps.append(args)
+            return (Fraction(-1),)
+
+        monkeypatch.setattr(scipy_backend, "_farkas_certificate", wrong_signed)
+        result, info = solve_ilp_info(_infeasible_problem(), backend="auto")
+        assert len(lps) == len(calls) == 1
+        assert result.status is Status.INFEASIBLE
+        assert info.backend == "exact"
+        assert info.fallback
+        assert info.verified
+        assert info.solves_for("scipy") == info.solves_for("exact") == 1
+
+
 class TestScipyBackendIsVerified:
     """``backend="scipy"`` runs the same verification chain as ``auto``."""
 
@@ -292,6 +372,49 @@ class TestScipyBackendIsVerified:
         assert str(later.check(cover)) == "<2, 1, 1, 1; 3>"
 
 
+class TestCorpusStressors:
+    """The four corpus stressors at psi 9, sharing off, as perfbench's wide
+    pass runs them: 8 of its 15 ILPs, every one INFEASIBLE."""
+
+    @pytest.mark.parametrize(
+        "name", ["corpus_s0", "corpus_s1", "corpus_s2", "corpus_s3"]
+    )
+    def test_every_backend_writes_the_same_bytes(self, name):
+        from repro.benchgen.mcnc import (
+            CORPUS_STRESSOR_PSI,
+            build_corpus_circuit,
+        )
+        from repro.core.synthesis import (
+            SynthesisOptions,
+            synthesize_with_report,
+        )
+        from repro.engine.store import ResultStore
+        from repro.io.thblif import to_thblif
+        from repro.network.scripts import prepare_tels
+
+        source = build_corpus_circuit(name)
+        written, stats = {}, {}
+        for backend in BACKENDS if have_scipy() else ("auto", "exact"):
+            network, report = synthesize_with_report(
+                prepare_tels(source),
+                SynthesisOptions(
+                    psi=CORPUS_STRESSOR_PSI,
+                    preserve_sharing=False,
+                    backend=backend,
+                ),
+                store=ResultStore(),
+            )
+            written[backend] = to_thblif(network)
+            stats[backend] = report.checker.stats
+        assert written["auto"] == written["exact"]
+        assert stats["exact"].ilp_solved > 0
+        if have_scipy():
+            assert written["scipy"] == written["exact"]
+            for backend in ("auto", "scipy"):
+                assert stats[backend].scipy_solves == stats[backend].ilp_solved
+                assert stats[backend].exact_solves == 0
+
+
 @needs_scipy
 class TestAgreement:
     def _random_problem(self, rng):
@@ -309,21 +432,32 @@ class TestAgreement:
 
     def test_feasibility_agreement_fuzz(self):
         rng = random.Random(0)
+        # A model without variables, which HiGHS rejects, alone and with an
+        # unsatisfiable row, and one with variables but no rows (no
+        # certificate LP to run) lead the random models.
+        unsatisfiable = IlpProblem(num_vars=0)
+        unsatisfiable.add_constraint([], "<=", -1)
+        problems = [
+            IlpProblem(num_vars=0),
+            unsatisfiable,
+            IlpProblem(num_vars=2, objective=[1, 1]),
+        ]
+        problems += [self._random_problem(rng) for _ in range(120)]
         limit_hits = 0
-        for _ in range(120):
-            p = self._random_problem(rng)
+        for p in problems:
             exact = solve_ilp(p, backend="exact")
-            auto = solve_ilp(p, backend="auto")
             if exact.limit_hit:
                 # Node budget exhausted: the exact answer is a declared
                 # (not proven) infeasibility — the paper's Section V-E
                 # semantics — so there is nothing to compare.
                 limit_hits += 1
                 continue
-            if exact.status is Status.OPTIMAL and auto.status is Status.OPTIMAL:
-                assert exact.objective == auto.objective
-            elif Status.INFEASIBLE in (exact.status, auto.status):
-                assert exact.status == auto.status
+            for backend in ("auto", "scipy"):
+                other = solve_ilp(p, backend=backend)
+                if exact.is_optimal and other.is_optimal:
+                    assert exact.objective == other.objective
+                elif Status.INFEASIBLE in (exact.status, other.status):
+                    assert exact.status == other.status
         # The budget should only rarely trip on this distribution.
         assert limit_hits <= 6
 
