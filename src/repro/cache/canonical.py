@@ -26,9 +26,9 @@ representative of its function class:
 The returned :class:`NPCanonical` carries the canonical key plus the
 :class:`NPTransform` needed to map a vector solved for the canonical cover
 back to the original cover (and vice versa — the phase map is an
-involution).  Every transformed vector can be re-verified against the
-original cover's ON/OFF sets with :func:`verify_vector_key`, which is what
-the persistent-cache lookup path does before trusting a transformed gate.
+involution).  :func:`verify_vector_key` is the one Eq. (1) acceptance test
+for a vector of either kind on a cover: the persistent and network tiers
+run it on every transformed gate before trusting it.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import itertools
 from dataclasses import dataclass
 
 from repro.boolean import bitset
-from repro.core.threshold import WeightThresholdVector
+from repro.core.threshold import GateVector, WeightThresholdVector
 
 #: Covers wider than this skip NP-canonicalization entirely: the exhaustive
 #: re-verification of a transformed vector enumerates ``2**nvars`` points.
@@ -241,31 +241,26 @@ def vector_from_canonical(
 
 def verify_vector_key(
     cover_key: tuple,
-    vector: WeightThresholdVector,
+    vector: GateVector,
     delta_on: int,
     delta_off: int,
 ) -> bool:
-    """Exhaustively check a vector against a cover key's ON/OFF sets.
+    """Exhaustively check a gate vector against a cover key under Eq. (1).
 
-    Every ON point must reach ``T + delta_on`` and every OFF point must stay
-    at or below ``T - delta_off`` — the Eq. (1) robustness contract, not
-    just plain functional agreement.  Exponential in ``nvars``; callers
-    gate on :data:`MAX_CANONICAL_VARS`.
+    The vector, of either kind, must compute the cover's function, and its
+    margins must meet both tolerances: every ON point ``delta_on`` or more
+    above its nearest threshold below, every OFF point ``delta_off`` or
+    more below its nearest threshold above.  For an LTG that is
+    ``sum >= T + delta_on`` on and ``sum <= T - delta_off`` off.
+    Exponential in ``nvars``; wider covers than
+    :data:`MAX_CANONICAL_VARS` are rejected.
     """
-    nvars, rows = cover_key
-    if nvars > MAX_CANONICAL_VARS:
+    nvars = cover_key[0]
+    if nvars > MAX_CANONICAL_VARS or len(vector.weights) != nvars:
         return False
-    weights = vector.weights
-    threshold = vector.threshold
-    if len(weights) != nvars:
+    if vector.table() != bitset.key_table(cover_key):
         return False
-    # One weighted-sum sweep against the packed ON-set table: the least ON
-    # sum must reach T + delta_on, the greatest OFF sum stay at or below
-    # T - delta_off.
-    sums = bitset.weighted_sums(weights)
-    on = bitset.key_table(cover_key).to_bits()
-    on_sums = [s for s, bit in zip(sums, on) if bit]
-    if on_sums and min(on_sums) < threshold + delta_on:
-        return False
-    off_sums = [s for s, bit in zip(sums, on) if not bit]
-    return not off_sums or max(off_sums) <= threshold - delta_off
+    on_margin, off_margin = vector.margins()
+    return (on_margin is None or on_margin >= delta_on) and (
+        off_margin is None or off_margin >= delta_off
+    )

@@ -38,7 +38,7 @@ from repro.core.threshold import (
     WeightThresholdVector,
     make_constant_vector,
 )
-from repro.errors import CoverError, DeadlineExceeded
+from repro.errors import CoverError, DeadlineExceeded, SynthesisError
 from repro.ilp.fastpath import FastpathStatus, fastpath_check
 from repro.ilp.model import IlpProblem
 from repro.ilp.solve import SolveInfo, solve_ilp_info
@@ -46,6 +46,25 @@ from repro.ilp.solve import SolveInfo, solve_ilp_info
 if TYPE_CHECKING:  # imported lazily at runtime to keep core below engine
     from repro.engine.resilience import Deadline
     from repro.engine.store import ResultStore, StoreStats
+
+#: Widest cover the checker minimizes.  The fast path's weight lower bound
+#: needs every support variable essential, which only the minimized
+#: irredundant prime cover guarantees, so it runs behind the same gate.
+MAX_MINIMIZE_VARS = 12
+
+
+def check_tolerances(delta_on: int, delta_off: int) -> None:
+    """Raise :class:`SynthesisError` unless Eq. (1) can hold the tolerances.
+
+    An LTG fires at ``sum >= T``: an ON row ``sum >= T + delta_on`` keeps
+    its point on only for ``delta_on >= 0``, and an OFF row
+    ``sum <= T - delta_off`` keeps its point off only for ``delta_off >= 1``.
+    """
+    if delta_on < 0 or delta_off < 1:
+        raise SynthesisError(
+            "defect tolerances must be delta_on >= 0 and delta_off >= 1 "
+            f"(got delta_on={delta_on}, delta_off={delta_off})"
+        )
 
 
 class Counters:
@@ -120,8 +139,9 @@ class ThresholdChecker:
     """Memoized threshold-function identification engine.
 
     Attributes:
-        delta_on: ON-side defect tolerance (paper default 0).
-        delta_off: OFF-side defect tolerance (paper default 1).
+        delta_on: ON-side defect tolerance (paper default 0; at least 0).
+        delta_off: OFF-side defect tolerance (paper default 1; at least 1,
+            see :func:`check_tolerances`).
         backend: one of :data:`repro.ilp.solve.BACKENDS`.
         max_weight: optional upper bound on every |w_i| (RTD/QCA processes
             realize weights as device areas, so practical weight ranges are
@@ -129,10 +149,9 @@ class ThresholdChecker:
             non-threshold and split instead.
         use_fastpath: try the Chow-parameter fast path
             (:mod:`repro.ilp.fastpath`) before formulating an ILP.  Only
-            attempted on covers of at most 12 variables, the ones the
-            checker minimizes (the fast path's weight lower bound requires
-            every support variable to be essential).  Its candidate vector
-            is the exact backend's only warm start.
+            attempted on covers of at most :data:`MAX_MINIMIZE_VARS`
+            variables, the ones the checker minimizes.  Its candidate
+            vector is the exact backend's only warm start.
         gate_model: name of the :class:`~repro.gates.base.GateModel`
             backend deciding representation and feasibility; ``"ltg"`` is
             the paper's single-threshold gate and keeps the historical
@@ -165,6 +184,9 @@ class ThresholdChecker:
     deadline: "Deadline | None" = field(default=None, repr=False)
     store_stats: "StoreStats | None" = field(default=None, repr=False)
     _model: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        check_tolerances(self.delta_on, self.delta_off)
 
     @property
     def model(self):
@@ -202,8 +224,7 @@ class ThresholdChecker:
 
         Variables outside the function's support get weight 0.
         """
-        vector = self.check(function.cover)
-        return vector
+        return self.check(function.cover)
 
     def check(self, cover: Cover) -> GateVector | None:
         """Return a gate vector realizing ``cover``, or None.
@@ -242,25 +263,17 @@ class ThresholdChecker:
     ) -> WeightThresholdVector | None:
         """The shared single-threshold pipeline, for gate-model backends.
 
-        Runs constants → analysis → Chow fast path → Fig. 6 ILP, with the
-        tolerances and weight box optionally overridden for this one solve
-        (the flash model's drift boosting).  Overrides are applied by
-        temporary field mutation so the whole downstream chain — fast path
-        bounds, ILP constraints, warm starts — sees them consistently.
+        Runs constants → analysis → Chow fast path → Fig. 6 ILP under the
+        checker's tolerances and weight box, or under the ones given for
+        this one solve (the flash model's drift boosting).
         """
-        if delta_on is None and delta_off is None and max_weight is None:
-            return self._check_uncached(cover, canonical)
-        saved = (self.delta_on, self.delta_off, self.max_weight)
-        if delta_on is not None:
-            self.delta_on = delta_on
-        if delta_off is not None:
-            self.delta_off = delta_off
-        if max_weight is not None:
-            self.max_weight = max_weight
-        try:
-            return self._check_uncached(cover, canonical)
-        finally:
-            self.delta_on, self.delta_off, self.max_weight = saved
+        return self._check_uncached(
+            cover,
+            canonical,
+            self.delta_on if delta_on is None else delta_on,
+            self.delta_off if delta_off is None else delta_off,
+            self.max_weight if max_weight is None else max_weight,
+        )
 
     def _analysis(self, cover: Cover, canonical: tuple):
         """Delta-independent preprocessing, via the store's analysis tier."""
@@ -273,7 +286,7 @@ class ThresholdChecker:
         # Minimizing canonicalizes the cover (the unique irredundant prime
         # cover of a unate function) and exposes semantic unateness that a
         # redundant cover can hide.
-        if cover.nvars <= 12:
+        if cover.nvars <= MAX_MINIMIZE_VARS:
             cover = minimize(cover)
         analysis: CoverAnalysis | None = None
         if syntactic_unateness(cover).is_unate:
@@ -289,31 +302,32 @@ class ThresholdChecker:
         return analysis
 
     def _check_uncached(
-        self, cover: Cover, canonical: tuple
+        self,
+        cover: Cover,
+        canonical: tuple,
+        delta_on: int,
+        delta_off: int,
+        max_weight: int | None,
     ) -> WeightThresholdVector | None:
         nvars = cover.nvars
         # Constants: vacuous threshold gates.
-        tolerances = (self.delta_on, self.delta_off)
         if cover.is_zero():
-            return make_constant_vector(False, nvars, *tolerances)
+            return make_constant_vector(False, nvars, delta_on, delta_off)
         if cover.is_tautology():
-            return make_constant_vector(True, nvars, *tolerances)
+            return make_constant_vector(True, nvars, delta_on, delta_off)
         analysis = self._analysis(cover, canonical)
         if analysis is None:
             return None
         positive, flipped = analysis.positive, analysis.flipped
         off_cubes = analysis.off_cubes
         warm_start: tuple[Fraction, ...] | None = None
-        # The fast path's weight lower bound needs every support variable
-        # essential, which only the minimized irredundant prime cover
-        # guarantees — same gate as the minimization in _analysis.
-        if self.use_fastpath and cover.nvars <= 12:
+        if self.use_fastpath and nvars <= MAX_MINIMIZE_VARS:
             fast = fastpath_check(
                 positive,
                 off_cubes,
-                delta_on=self.delta_on,
-                delta_off=self.delta_off,
-                max_weight=self.max_weight,
+                delta_on=delta_on,
+                delta_off=delta_off,
+                max_weight=max_weight,
             )
             if fast.status is FastpathStatus.HIT:
                 self.stats.fastpath_hits += 1
@@ -326,7 +340,9 @@ class ThresholdChecker:
             self.stats.fastpath_misses += 1
             if fast.candidate is not None:
                 warm_start = tuple(Fraction(v) for v in fast.candidate)
-        problem, support = self._formulate(positive, off_cubes)
+        problem, support = self._formulate(
+            positive, off_cubes, delta_on, delta_off, max_weight
+        )
         self.stats.ilp_solved += 1
         timeout_s = (
             self.deadline.remaining() if self.deadline is not None else None
@@ -378,7 +394,12 @@ class ThresholdChecker:
         return WeightThresholdVector(tuple(weights), threshold)
 
     def _formulate(
-        self, positive: Cover, off_cubes: Cover
+        self,
+        positive: Cover,
+        off_cubes: Cover,
+        delta_on: int,
+        delta_off: int,
+        max_weight: int | None,
     ) -> tuple[IlpProblem, list[int]]:
         """Build the Fig. 6 ILP for a positive-unate cover."""
         support = positive.support_vars()
@@ -397,7 +418,7 @@ class ThresholdChecker:
                     raise CoverError("positive-unate cover has negative literal")
                 coeffs[slot[var]] = 1
             coeffs[n] = -1
-            problem.add_constraint(coeffs, ">=", self.delta_on)
+            problem.add_constraint(coeffs, ">=", delta_on)
             self.stats.constraints_emitted += 1
             free = n - cube.num_literals
             self.stats.constraints_without_elimination += 1 << free
@@ -410,15 +431,15 @@ class ThresholdChecker:
                 if not (cube.neg & bit):
                     coeffs[slot[var]] = 1
             coeffs[n] = -1
-            problem.add_constraint(coeffs, "<=", -self.delta_off)
+            problem.add_constraint(coeffs, "<=", -delta_off)
             self.stats.constraints_emitted += 1
             fixed = sum(1 for var in support if cube.neg & (1 << var))
             self.stats.constraints_without_elimination += 1 << fixed
-        if self.max_weight is not None:
+        if max_weight is not None:
             for slot_index in range(n):
                 coeffs = [0] * (n + 1)
                 coeffs[slot_index] = 1
-                problem.add_constraint(coeffs, "<=", self.max_weight)
+                problem.add_constraint(coeffs, "<=", max_weight)
             # Implied bound tightening: every ON cube gives
             # T <= sum(cube weights) - delta_on <= |cube| * max_weight -
             # delta_on, so the smallest cube caps T.  Redundant for the
@@ -428,7 +449,7 @@ class ThresholdChecker:
                 coeffs = [0] * (n + 1)
                 coeffs[n] = 1
                 problem.add_constraint(
-                    coeffs, "<=", min_lits * self.max_weight - self.delta_on
+                    coeffs, "<=", min_lits * max_weight - delta_on
                 )
         return problem, support
 
@@ -440,7 +461,13 @@ class ThresholdChecker:
         analysis = self._analysis(cover, cover.canonical_key())
         if analysis is None:
             return None
-        problem, _ = self._formulate(analysis.positive, analysis.off_cubes)
+        problem, _ = self._formulate(
+            analysis.positive,
+            analysis.off_cubes,
+            self.delta_on,
+            self.delta_off,
+            self.max_weight,
+        )
         return problem
 
     def cache_size(self) -> int:

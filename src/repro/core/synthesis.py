@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.core.identify import ThresholdChecker
+from repro.core.identify import ThresholdChecker, check_tolerances
 from repro.core.strategies import STRATEGIES
 from repro.core.threshold import ThresholdNetwork
 from repro.errors import SynthesisError
@@ -52,8 +52,10 @@ class SynthesisOptions:
 
     Attributes:
         psi: fanin restriction ψ on every threshold gate (paper uses 3-8).
-        delta_on / delta_off: defect tolerances in Eq. (1); the paper's
-            experiments use ``delta_on`` in 0..3 and ``delta_off`` = 1.
+        delta_on / delta_off: defect tolerances in Eq. (1), at least 0
+            and 1 (:func:`~repro.core.identify.check_tolerances`); the
+            paper's experiments use ``delta_on`` in 0..3 and ``delta_off``
+            = 1.
         backend: ILP backend (``auto`` / ``exact`` / ``scipy``).
         seed: RNG seed for the random tie-breaks of splitting rule 4.  Each
             cone task derives its own ``random.Random("{seed}:{task_id}")``
@@ -129,8 +131,7 @@ class SynthesisOptions:
     def __post_init__(self) -> None:
         if self.psi < 2:
             raise SynthesisError("fanin restriction must be at least 2")
-        if self.delta_on < 0 or self.delta_off < 0:
-            raise SynthesisError("defect tolerances must be non-negative")
+        check_tolerances(self.delta_on, self.delta_off)
         if self.max_weight is not None and self.max_weight < 1:
             raise SynthesisError("max_weight must be at least 1 when set")
         for name in ("deadline_per_cone_s", "deadline_total_s"):

@@ -138,24 +138,17 @@ def fallback_cone_gates(
     root: str,
     preserved: frozenset[str],
     options,
-    checker: ThresholdChecker | None = None,
+    checker: ThresholdChecker,
 ) -> tuple[tuple[ThresholdGate, ...], tuple[str, ...]]:
     """The paper's one-to-one mapping for a single cone (degradation path).
 
-    Internal gates are renamed under a ``{root}$f`` prefix so degraded
-    cones can never collide with each other or with synthesized cones (the
-    engine's own split parts live under ``{root}$t``).
+    ``checker`` is the run's, so the fallback shares its store and solver
+    settings.  Internal gates are renamed under a ``{root}$f`` prefix so
+    degraded cones can never collide with each other or with synthesized
+    cones (the engine's own split parts live under ``{root}$t``).
     """
     cone, discovered = cone_subnetwork(source, root, preserved)
     decompose(cone, max_fanin=options.psi, inverter_gates=False, style="sop")
-    if checker is None:
-        checker = ThresholdChecker(
-            delta_on=options.delta_on,
-            delta_off=options.delta_off,
-            backend=options.backend,
-            max_weight=options.max_weight,
-            gate_model=options.gate_model,
-        )
     try:
         mapped = one_to_one_map(
             cone,

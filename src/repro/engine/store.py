@@ -182,19 +182,22 @@ class ResultStore:
                 self._persistent_put(key, vector)
 
     # -- persistent tier -----------------------------------------------
-    @staticmethod
-    def _split_key(key: tuple):
-        """(cover_key, delta_on, delta_off, max_weight, fingerprint) or None.
+    def _persistent_entry(self, key: tuple):
+        """``(cover_key, model, canonical, entry key)`` of a vector key.
 
-        The persistent tier understands the checker's key shapes: the
-        historical 4-tuple of the default ``ltg`` model (fingerprint None)
-        and the 5-tuple of every other gate model, whose trailing element
-        is the model fingerprint.  Other shapes (tests, ad-hoc callers)
-        silently stay memory-only.
+        A checker key is ``(cover_key, delta_on, delta_off, max_weight)``,
+        plus the model fingerprint when the model has one
+        (:meth:`~repro.gates.base.GateModel.store_key`).  None when the
+        entry stays memory-only: another key shape (tests, ad-hoc callers),
+        an unknown fingerprint, or a cover too wide to NP-canonicalize.
         """
+        from repro.cache.canonical import MAX_CANONICAL_VARS, np_canonicalize
+        from repro.cache.store import entry_key, signature_string
+        from repro.gates import model_for_fingerprint
+
         if not (isinstance(key, tuple) and len(key) in (4, 5)):
             return None
-        cover_key = key[0]
+        cover_key, delta_on, delta_off, max_weight = key[:4]
         if not (
             isinstance(cover_key, tuple)
             and len(cover_key) == 2
@@ -203,43 +206,13 @@ class ResultStore:
         ):
             return None
         fingerprint = key[4] if len(key) == 5 else None
-        if fingerprint is not None and not isinstance(fingerprint, str):
+        model = model_for_fingerprint(fingerprint)
+        if model is None or cover_key[0] > MAX_CANONICAL_VARS:
             return None
-        return cover_key, key[1], key[2], key[3], fingerprint
-
-    def _canonicalize(self, cover_key: tuple):
-        """Memoized NP-canonicalization of a cover key (None if too wide)."""
-        from repro.cache.canonical import MAX_CANONICAL_VARS, np_canonicalize
-
-        if cover_key[0] > MAX_CANONICAL_VARS:
-            return None
-        cached = self._canonical_memo.get(cover_key)
-        if cached is None:
-            cached = np_canonicalize(cover_key)
-            self._canonical_memo[cover_key] = cached
-        return cached
-
-    @staticmethod
-    def _model_for(fingerprint: str | None):
-        """The GateModel owning a keyed entry (None = unresolvable)."""
-        if fingerprint is None:
-            from repro.gates import get_model
-
-            return get_model("ltg")
-        from repro.gates import model_for_fingerprint
-
-        return model_for_fingerprint(fingerprint)
-
-    def _persistent_lookup(self, key: tuple, stats: StoreStats):
-        from repro.cache.store import ABSENT, entry_key, signature_string
-
-        parts = self._split_key(key)
-        if parts is None:
-            return _MISSING
-        cover_key, delta_on, delta_off, max_weight, fingerprint = parts
-        canonical = self._canonicalize(cover_key)
+        canonical = self._canonical_memo.get(cover_key)
         if canonical is None:
-            return _MISSING
+            canonical = np_canonicalize(cover_key)
+            self._canonical_memo[cover_key] = canonical
         skey = entry_key(
             signature_string(canonical.key),
             delta_on,
@@ -247,6 +220,15 @@ class ResultStore:
             max_weight,
             model=fingerprint,
         )
+        return cover_key, model, canonical, skey
+
+    def _persistent_lookup(self, key: tuple, stats: StoreStats):
+        from repro.cache.store import ABSENT
+
+        entry = self._persistent_entry(key)
+        if entry is None:
+            return _MISSING
+        cover_key, model, canonical, skey = entry
         values = self.persistent.get(skey)
         if values is ABSENT:
             stats.persistent_misses += 1
@@ -255,15 +237,11 @@ class ResultStore:
             # A cached non-realizable verdict: NP-invariant, nothing to map.
             stats.persistent_hits += 1
             return None
-        model = self._model_for(fingerprint)
-        if model is None:
-            stats.persistent_misses += 1
-            return _MISSING
         vector = model.decode_canonical(values, canonical.transform)
         # Never trust a transformed (or on-disk) gate unverified: check it
-        # against this cover's ON/OFF sets under the model's margin rules.
+        # against this cover under Eq. (1) and the model's device limits.
         if vector is None or not model.verify_vector(
-            cover_key, vector, delta_on, delta_off
+            cover_key, vector, key[1], key[2]
         ):
             stats.transform_rejects += 1
             stats.persistent_misses += 1
@@ -274,33 +252,17 @@ class ResultStore:
         return vector
 
     def _persistent_put(self, key: tuple, vector) -> None:
-        from repro.cache.store import entry_key, signature_string
-
         if getattr(self.persistent, "read_only", False):
             return  # worker-side snapshot: deltas travel via the journal
-        parts = self._split_key(key)
-        if parts is None:
+        entry = self._persistent_entry(key)
+        if entry is None:
             return
-        cover_key, delta_on, delta_off, max_weight, fingerprint = parts
-        canonical = self._canonicalize(cover_key)
-        if canonical is None:
-            return
-        model = self._model_for(fingerprint)
-        if model is None:
-            return
-        if vector is None:
-            values = None
-        else:
+        _, model, canonical, skey = entry
+        values = None
+        if vector is not None:
             values = model.encode_canonical(vector, canonical.transform)
             if values is None:
                 return  # not representable on disk; stays memory-only
-        skey = entry_key(
-            signature_string(canonical.key),
-            delta_on,
-            delta_off,
-            max_weight,
-            model=fingerprint,
-        )
         self.persistent.put(skey, values)
 
     def flush_persistent(self) -> int:

@@ -1,4 +1,4 @@
-"""The :class:`GateModel` interface and the backend registry.
+"""The :class:`GateModel` interface.
 
 A gate model is everything the synthesis flow must know about a target gate
 technology, factored out of the single-threshold assumptions that used to be
@@ -18,27 +18,20 @@ ILP chain:
   instead of assuming ``sum(w·x) >= T``);
 * **NP-transform algebra** — :meth:`encode_canonical` /
   :meth:`decode_canonical` map vectors to and from NP-canonical space, and
-  :meth:`verify_vector` re-checks a transformed vector against a cover's
-  ON/OFF sets, which is what lets a model's solves live in the persistent
-  NP-canonical cache;
+  :meth:`verify_vector` re-checks a transformed vector against a cover
+  under Eq. (1), which is what lets a model's solves live in the
+  persistent NP-canonical cache;
 * **fingerprint** — a stable string versioning the model *and* its
-  parameters.  The fingerprint is folded into both the in-memory store key
-  and the persistent entry key, so two models (or two parameterizations of
-  one model) never share cache entries.  The default ``ltg`` model keeps
-  the historical un-suffixed key shapes, so existing caches stay warm.
+  parameters, appended to both the in-memory store key and the persistent
+  entry key, so two models never share cache entries.  The paper's ``ltg``
+  model has none, which keeps its historical un-suffixed key shapes.
 
-Registering a backend (see ``docs/GATE_MODELS.md``)::
-
-    @register_model
-    class MyModel(GateModel):
-        name = "my-model"
-        ...
+The models themselves are the fixed table :data:`repro.gates.MODELS`.
 """
 
 from __future__ import annotations
 
 import abc
-from collections.abc import Callable, Iterable
 
 from repro.core.threshold import (
     GateVector,
@@ -46,24 +39,25 @@ from repro.core.threshold import (
     WeightThresholdVector,
     make_or_vector,
 )
-from repro.errors import ReproError
 
 
 class GateModel(abc.ABC):
-    """One pluggable gate technology: representation, feasibility, algebra.
+    """One gate technology: representation, feasibility, algebra.
 
-    Subclasses must define the class attributes ``name`` (the registry key
-    and ``--gate-model`` argument) and ``fingerprint`` (the cache-key
-    version string; bump it whenever the model's solutions change shape or
-    semantics).  ``supports_binate`` tells the cone synthesizer whether
-    binate covers are worth checking before splitting (the LTG's answer is
-    no: a binate function is never a single threshold gate).
+    Subclasses define the class attributes ``name`` (the
+    :data:`~repro.gates.MODELS` key and ``--gate-model`` argument) and
+    ``fingerprint`` (the cache-key version string; bump it whenever the
+    model's solutions change shape or semantics).  ``supports_binate``
+    tells the cone synthesizer whether binate covers are worth checking
+    before splitting (the LTG's answer is no: a binate function is never a
+    single threshold gate).
     """
 
-    #: Registry key, e.g. ``"ltg"``; also the CLI ``--gate-model`` value.
+    #: Model name, e.g. ``"ltg"``; also the CLI ``--gate-model`` value.
     name: str = ""
-    #: Stable version string folded into every cache key (see module doc).
-    fingerprint: str = ""
+    #: Version string appended to every cache key (see module doc); None
+    #: keeps the key un-suffixed.
+    fingerprint: str | None = None
     #: Whether :meth:`check_cover` can realize binate covers.
     supports_binate: bool = False
 
@@ -77,11 +71,11 @@ class GateModel(abc.ABC):
     ) -> tuple:
         """The vector-tier memo key for one (cover, tolerance) instance.
 
-        Non-default models append their fingerprint so no two models can
-        ever exchange cache entries; the ``ltg`` model overrides this to
-        keep the historical 4-tuple.
+        The model's fingerprint, when it has one, is the fifth element, so
+        no two models can ever exchange cache entries.
         """
-        return (canonical, delta_on, delta_off, max_weight, self.fingerprint)
+        key = (canonical, delta_on, delta_off, max_weight)
+        return key if self.fingerprint is None else (*key, self.fingerprint)
 
     # -- feasibility ---------------------------------------------------
     @abc.abstractmethod
@@ -151,70 +145,10 @@ class GateModel(abc.ABC):
     ) -> bool:
         """Exhaustively re-check a (possibly transformed) vector.
 
-        Must enforce the model's margin contract, not just functional
-        agreement — persisted entries are never trusted without this.
+        Eq. (1) on the cover (:func:`~repro.cache.canonical.verify_vector_key`);
+        a model with device limits adds them.  Persisted entries are never
+        trusted without this.
         """
         from repro.cache.canonical import verify_vector_key
 
-        if not isinstance(vector, WeightThresholdVector):
-            return False
         return verify_vector_key(cover_key, vector, delta_on, delta_off)
-
-
-# ---------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------
-_FACTORIES: dict[str, Callable[[], GateModel]] = {}
-_INSTANCES: dict[str, GateModel] = {}
-
-
-def register_model(factory: Callable[[], GateModel]):
-    """Register a model class (or factory) under its ``name``.
-
-    Usable as a decorator.  The fingerprint *family* (the part before the
-    first ``:``) is also indexed so persistent-cache entries can find their
-    decoding model back from the entry key alone.
-    """
-    probe = factory()
-    if not probe.name or not probe.fingerprint:
-        raise ReproError(
-            f"gate model {factory!r} must define name and fingerprint"
-        )
-    _FACTORIES[probe.name] = factory
-    _INSTANCES[probe.name] = probe
-    return factory
-
-
-def model_names() -> tuple[str, ...]:
-    """Registered model names, sorted (CLI choices, docs)."""
-    return tuple(sorted(_FACTORIES))
-
-
-def get_model(name: str) -> GateModel:
-    """The shared instance of a registered model."""
-    try:
-        return _INSTANCES[name]
-    except KeyError:
-        known = ", ".join(model_names())
-        raise ReproError(
-            f"unknown gate model {name!r} (registered: {known})"
-        ) from None
-
-
-def model_for_fingerprint(fingerprint: str) -> GateModel | None:
-    """Resolve a cache-entry fingerprint back to its model, or None.
-
-    Matches on the fingerprint family (text before the first ``:``), so a
-    parameterized fingerprint like ``flash-v1:L8:d0.25`` still finds the
-    flash model — the parameters only partition the key space, while the
-    decode/verify algebra is family-wide.
-    """
-    family = fingerprint.split(":", 1)[0]
-    for model in _INSTANCES.values():
-        if model.fingerprint.split(":", 1)[0] == family:
-            return model
-    return None
-
-
-def registered_models() -> Iterable[GateModel]:
-    return tuple(_INSTANCES[name] for name in model_names())

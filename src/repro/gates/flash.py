@@ -35,10 +35,9 @@ from repro.core.threshold import (
     WeightThresholdVector,
     make_or_vector,
 )
-from repro.gates.base import GateModel, register_model
+from repro.gates.base import GateModel
 
 
-@register_model
 class FlashModel(GateModel):
     """LTGs on a flash device grid with drift-derived tolerances."""
 
@@ -64,7 +63,7 @@ class FlashModel(GateModel):
             box = min(box, checker.max_weight)
         # Nonzero weights always need at least ceil(drift) of margin, so
         # start there instead of burning a solve on the base tolerances.
-        base_on, base_off = checker.delta_on, max(checker.delta_off, 1)
+        base_on, base_off = checker.delta_on, checker.delta_off
         floor = math.ceil(self.drift)
         don, doff = max(base_on, floor), max(base_off, floor)
         for _ in range(self.levels):
@@ -87,14 +86,14 @@ class FlashModel(GateModel):
 
     def or_vector(self, k: int, delta_on: int, delta_off: int):
         """An OR root whose margins cover the drift of its own weights."""
-        don, doff = delta_on, max(delta_off, 1)
+        don, doff = delta_on, delta_off
         vec = make_or_vector(k, don, doff)
         for _ in range(self.levels):
             req = self.required_margin(vec.weights)
-            if don >= max(delta_on, req) and doff >= max(delta_off, req, 1):
+            if don >= max(delta_on, req) and doff >= max(delta_off, req):
                 return vec
             don = max(don, req)
-            doff = max(doff, req, 1)
+            doff = max(doff, req)
             vec = make_or_vector(k, don, doff)
         return vec
 

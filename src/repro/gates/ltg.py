@@ -3,28 +3,21 @@
 This is the paper's gate model, re-expressed through :class:`GateModel`.
 It must stay behaviorally identical to the pre-refactor flow (the
 differential test in ``tests/gates/test_differential.py`` holds it to the
-golden baseline), so it keeps the historical cache-key shapes: the
-4-tuple vector-tier key and the un-suffixed persistent entry key.  Every
-other backend appends its fingerprint to both.
+golden baseline), so it has no fingerprint: its vector-tier key is the
+historical 4-tuple and its persistent entry key carries no model suffix.
 """
 
 from __future__ import annotations
 
-from repro.gates.base import GateModel, register_model
+from repro.gates.base import GateModel
 
 
-@register_model
 class LtgModel(GateModel):
     """Single-threshold linear threshold gates, ``f=1 iff sum(w·x) >= T``."""
 
     name = "ltg"
-    fingerprint = "ltg-v1"
+    fingerprint = None
     supports_binate = False
-
-    def store_key(self, canonical, delta_on, delta_off, max_weight):
-        # Historical 4-tuple: pre-refactor caches (and the differential
-        # golden baseline) depend on this exact shape.
-        return (canonical, delta_on, delta_off, max_weight)
 
     def check_cover(self, checker, cover, canonical):
         return checker.solve_ltg(cover, canonical)

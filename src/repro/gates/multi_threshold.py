@@ -35,16 +35,15 @@ from repro.core.threshold import (
     MultiThresholdVector,
     WeightThresholdVector,
 )
-from repro.gates.base import GateModel, register_model
+from repro.gates.base import GateModel
 
 
-@register_model
 class MultiThresholdModel(GateModel):
     """k-threshold gates with an exact small-k search atop the LTG solve."""
 
     name = "multi-threshold"
-    #: Parameters are part of the fingerprint family ``mtg-v1``; bump the
-    #: suffix if the search bounds below ever change.
+    #: The search bounds below are part of the fingerprint; bump it if
+    #: they ever change.
     fingerprint = "mtg-v1:k6:w2"
     supports_binate = True
 
@@ -171,22 +170,3 @@ class MultiThresholdModel(GateModel):
         if any(a >= b for a, b in zip(thresholds, thresholds[1:])):
             return None
         return MultiThresholdVector(tuple(weights), tuple(thresholds))
-
-    def verify_vector(self, cover_key, vector, delta_on, delta_off) -> bool:
-        if isinstance(vector, WeightThresholdVector):
-            return super().verify_vector(cover_key, vector, delta_on, delta_off)
-        if not isinstance(vector, MultiThresholdVector):
-            return False
-        from repro.cache.canonical import MAX_CANONICAL_VARS
-
-        nvars, _ = cover_key
-        if nvars > MAX_CANONICAL_VARS or len(vector.weights) != nvars:
-            return False
-        if vector.table() != bitset.key_table(cover_key):
-            return False
-        # Generalized Eq. 1: clear the nearest threshold below by the
-        # ON margin, stay under the nearest above by the OFF margin.
-        on_margin, off_margin = vector.margins()
-        return (on_margin is None or on_margin >= delta_on) and (
-            off_margin is None or off_margin >= delta_off
-        )

@@ -80,16 +80,12 @@ def chow_parameters(cover: Cover) -> dict[int, int]:
 
     Counts are taken over the full variable space (the restricted cofactor
     leaves ``x_i`` free, doubling every count uniformly), which preserves
-    the ordering the enumeration needs.
+    the ordering the enumeration needs.  The cover must fit a packed truth
+    table (``MAX_TABLE_VARS``), as every cover the checker minimizes does.
     """
-    support = cover.support_vars()
-    if cover.packable():
-        return bitset.chow_from_table(
-            cover.packed_table(), cover.nvars, support
-        )
-    return {
-        var: cover.restrict(var, True).num_minterms() for var in support
-    }
+    return bitset.chow_from_table(
+        cover.packed_table(), cover.nvars, cover.support_vars()
+    )
 
 
 def two_monotonicity_violation(
@@ -98,33 +94,26 @@ def two_monotonicity_violation(
     """The first support pair proving the function is not 2-monotonic.
 
     Returns None when every pair of cofactors ``f[i=1,j=0]`` / ``f[j=1,i=0]``
-    is comparable (a necessary condition for thresholdness).
+    is comparable (a necessary condition for thresholdness).  The cover
+    must fit a packed truth table, as for :func:`chow_parameters`.
     """
     if support is None:
         support = cover.support_vars()
-    if cover.packable():
-        table = cover.packed_table()
-        nvars = cover.nvars
-        cof: dict[tuple[int, bool], bitset.BitVec] = {}
+    table = cover.packed_table()
+    nvars = cover.nvars
+    cof: dict[tuple[int, bool], bitset.BitVec] = {}
 
-        def cofactor(var: int, value: bool) -> bitset.BitVec:
-            key = (var, value)
-            if key not in cof:
-                cof[key] = bitset.cofactor_table(table, nvars, var, value)
-            return cof[key]
+    def cofactor(var: int, value: bool) -> bitset.BitVec:
+        key = (var, value)
+        if key not in cof:
+            cof[key] = bitset.cofactor_table(table, nvars, var, value)
+        return cof[key]
 
-        for a_pos, i in enumerate(support):
-            for j in support[a_pos + 1 :]:
-                fi = bitset.cofactor_table(cofactor(i, True), nvars, j, False)
-                fj = bitset.cofactor_table(cofactor(j, True), nvars, i, False)
-                if not fj.andnot(fi).is_zero() and not fi.andnot(fj).is_zero():
-                    return (i, j)
-        return None
     for a_pos, i in enumerate(support):
         for j in support[a_pos + 1 :]:
-            fi = cover.restrict(i, True).restrict(j, False)
-            fj = cover.restrict(j, True).restrict(i, False)
-            if not fi.covers(fj) and not fj.covers(fi):
+            fi = bitset.cofactor_table(cofactor(i, True), nvars, j, False)
+            fj = bitset.cofactor_table(cofactor(j, True), nvars, i, False)
+            if not fj.andnot(fi).is_zero() and not fi.andnot(fj).is_zero():
                 return (i, j)
     return None
 

@@ -13,6 +13,7 @@ from repro.cache.canonical import (
 )
 from repro.core.identify import is_threshold_function
 from repro.core.threshold import WeightThresholdVector
+from repro.gates import get_model
 
 
 def random_cover(rng: random.Random, nvars: int) -> Cover:
@@ -142,6 +143,14 @@ class TestVerification:
         assert not verify_vector_key(
             key, WeightThresholdVector((1, 1), 1), 0, 1
         )  # fires on single inputs: OR, not AND
+        # At delta_off = 0 the weighted sums alone cannot tell: <0, 0; 0>
+        # (constant 1) and <1, 1; 1> (OR) keep every OFF sum at T - 0.
+        assert not verify_vector_key(
+            key, WeightThresholdVector((0, 0), 0), 0, 0
+        )
+        assert not get_model("ltg").verify_vector(
+            key, WeightThresholdVector((1, 1), 1), 1, 0
+        )
 
     def test_margins_are_enforced_not_just_function(self):
         cover = Cover((Cube.from_literals({0: True}, 1),), 1)  # buffer

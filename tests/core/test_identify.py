@@ -7,6 +7,7 @@ import pytest
 from repro.boolean.cover import Cover
 from repro.boolean.function import BooleanFunction
 from repro.core.identify import ThresholdChecker, is_threshold_function
+from repro.errors import SynthesisError
 from tests.conftest import random_cover
 
 
@@ -128,6 +129,17 @@ class TestDefectTolerances:
         assert on_margin >= delta_on and off_margin is None
         if (delta_on, delta_off) == (0, 1):
             assert (str(zero), str(one)) == ("<0, 0; 1>", "<0, 0; 0>")
+
+    def test_tolerances_that_break_eq1_are_rejected(self):
+        # An LTG fires at sum >= T, so at delta_off = 0 an OFF row lets
+        # "a b" come back as <0, 0; 0> (constant 1); library calls that
+        # bypass SynthesisOptions must refuse it too.
+        f = BooleanFunction.parse("a b")
+        for delta_on, delta_off in ((0, 0), (1, 0), (-1, 1)):
+            with pytest.raises(SynthesisError, match="delta_off >= 1"):
+                ThresholdChecker(delta_on=delta_on, delta_off=delta_off)
+            with pytest.raises(SynthesisError, match="delta_off >= 1"):
+                is_threshold_function(f, delta_on=delta_on, delta_off=delta_off)
 
 
 class TestSoundness:

@@ -17,6 +17,7 @@ import pytest
 from repro.benchgen.extended import build_extended_benchmark
 from repro.benchgen.paper_examples import motivational_network
 from repro.benchgen.random_logic import random_logic_network
+from repro.core.identify import ThresholdChecker
 from repro.core.synthesis import SynthesisOptions
 from repro.core.verify import verify_threshold_network
 from repro.engine.resilience import (
@@ -81,8 +82,9 @@ class TestFallback:
         preserved = preserved_set(net, preserve_sharing=True)
         root = next(o for o in net.outputs if net.has_node(o))
         options = SynthesisOptions(psi=3)
+        checker = ThresholdChecker.from_options(options)
         gates, discovered = fallback_cone_gates(
-            net, root, preserved, options
+            net, root, preserved, options, checker
         )
         names = {g.name for g in gates}
         assert root in names

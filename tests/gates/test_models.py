@@ -1,10 +1,11 @@
-"""Gate-model backends: registry, MT absorption, flash device rules.
+"""Gate-model backends: model table, MT absorption, flash device rules.
 
 The default (``ltg``) behavior is pinned separately by
 ``test_differential.py``; this module covers what the other backends add
-on top — the registry plumbing, the multi-threshold parity absorption the
-single-threshold flow cannot do, the flash grid/drift sign-off, and the
-NP-transform algebra persistent entries round-trip through.
+on top — the model table and its lookups, the multi-threshold parity
+absorption the single-threshold flow cannot do, the flash grid/drift
+sign-off, and the NP-transform algebra persistent entries round-trip
+through.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ from repro.core.identify import is_threshold_function
 from repro.core.threshold import MultiThresholdVector, WeightThresholdVector
 from repro.errors import ReproError
 from repro.gates import (
+    MODELS,
     FlashModel,
     LtgModel,
     MultiThresholdModel,
     get_model,
     model_for_fingerprint,
     model_names,
-    registered_models,
 )
 
 #: 3-input odd parity in SOP form — the smallest XOR cone worth absorbing.
@@ -45,16 +46,19 @@ class TestRegistry:
             get_model("cmos")
 
     def test_fingerprints_are_distinct(self):
-        prints = [m.fingerprint for m in registered_models()]
+        prints = [m.fingerprint for m in MODELS.values()]
         assert len(prints) == len(set(prints))
 
-    def test_model_for_fingerprint_matches_family(self):
-        # Exact fingerprints resolve, but so do re-parameterized ones from
-        # the same family — the decode algebra is family-wide.
-        assert model_for_fingerprint("ltg-v1").name == "ltg"
-        assert model_for_fingerprint("mtg-v1:k6:w2").name == "multi-threshold"
-        assert model_for_fingerprint("mtg-v1:k9:w3").name == "multi-threshold"
-        assert model_for_fingerprint("flash-v1:L16:d0.1").name == "flash"
+    def test_model_for_fingerprint_is_exact(self):
+        # Each model's own fingerprint resolves (ltg's is None, its keys
+        # carry no suffix); a re-parameterized one from the same family
+        # does not, since no live key can carry it.
+        assert get_model("ltg").fingerprint is None
+        for model in MODELS.values():
+            assert model_for_fingerprint(model.fingerprint) is model
+        assert model_for_fingerprint("flash-v1:L16:d0.1") is None
+        assert model_for_fingerprint("mtg-v1:k9:w3") is None
+        assert model_for_fingerprint("ltg-v1") is None
         assert model_for_fingerprint("quantum-v1") is None
 
 

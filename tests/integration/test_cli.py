@@ -275,6 +275,13 @@ class TestOptionChecks:
         assert main(["map", str(blif_file), "--delta-on", "-1"]) == 2
         assert "tolerances" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["synth", "map"])
+    def test_a_zero_off_tolerance_exits_2(self, blif_file, capsys, command):
+        # delta_off = 0 lets the ILP put an OFF point on T, where an LTG
+        # fires: the networks it gave were wrong, so it is refused.
+        assert main([command, str(blif_file), "--delta-off", "0"]) == 2
+        assert "delta_off >= 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [

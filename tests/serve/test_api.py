@@ -107,6 +107,7 @@ class TestErrorPaths:
             {"backend": "bogus"},
             {"splitting_strategy": "bogus"},
             {"max_weight": 0},
+            {"delta_off": 0},  # an OFF point on T would fire
         ):
             with pytest.raises(ServeClientError) as err:
                 client.submit(small_blif, options=options)
