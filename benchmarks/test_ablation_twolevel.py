@@ -15,10 +15,10 @@ import pytest
 from repro.benchgen.extended import build_extended_benchmark
 from repro.core.area import network_stats
 from repro.core.synthesis import SynthesisOptions, synthesize
-from repro.core.twolevel import TwoLevelOptions, synthesize_two_level
 from repro.core.verify import verify_threshold_network
 from repro.errors import SynthesisError
 from repro.network.scripts import prepare_tels
+from tests.core.twolevel import TwoLevelOptions, synthesize_two_level
 
 # Circuits shallow enough to flatten (two-level's home turf) plus deeper
 # ones where flattening should fail or lose.

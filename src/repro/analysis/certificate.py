@@ -3,8 +3,8 @@
 Every synthesized gate records the defect tolerances it was solved with
 (Eq. 1); gate models may demand more (the flash backend's drift floor
 ``ceil(drift * max|w|)``).  The certificate recomputes every gate's
-worst-case ON/OFF margins through its gate model, compares them against
-the required floors, and derives two network-wide facts:
+worst-case ON/OFF margins from its vector, compares them against the
+floors its gate model requires, and derives two network-wide facts:
 
 * **slack** — ``min(margin - required)`` over all gates and both sides;
   non-negative slack proves every gate honors its recorded (and
@@ -157,7 +157,7 @@ def build_certificate(
         if gate.fanin > max_enumeration_fanin:
             skipped.append(gate.name)
             continue
-        on_margin, off_margin = model.gate_margins(gate)
+        on_margin, off_margin = gate.margins()
         required_on = gate.delta_on
         required_off = gate.delta_off
         if drift_floor is not None:

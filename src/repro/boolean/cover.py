@@ -156,10 +156,6 @@ class Cover:
         """True when the cover has no cubes (syntactic constant 0)."""
         return not self.cubes
 
-    def is_one(self) -> bool:
-        """Semantic constant-1 test (tautology)."""
-        return self.is_tautology()
-
     def column_phases(self, var: int) -> tuple[int, int]:
         """Count of (positive, negative) occurrences of ``var``."""
         bit = 1 << var

@@ -258,9 +258,9 @@ def verify_vector_key(
     nvars = cover_key[0]
     if nvars > MAX_CANONICAL_VARS or len(vector.weights) != nvars:
         return False
-    if vector.table() != bitset.key_table(cover_key):
+    table, on_margin, off_margin = vector.table_and_margins()
+    if table != bitset.key_table(cover_key):
         return False
-    on_margin, off_margin = vector.margins()
     return (on_margin is None or on_margin >= delta_on) and (
         off_margin is None or off_margin >= delta_off
     )

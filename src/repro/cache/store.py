@@ -6,36 +6,36 @@ fingerprint, then one line per entry mapping an NP-canonical cover
 signature plus the solver-relevant parameters to the solved vector in
 canonical space (or ``null`` for a proven non-threshold class).
 
-Design points:
+:class:`JsonLinesFile` owns the file; the ``tels serve`` jobs journal
+(:mod:`repro.serve.journal`) is the same class, so both files get:
 
-* **atomic append** — :meth:`PersistentCache.flush` writes all journaled
-  entries in one buffered write to an append-mode handle, so concurrent
-  writers (parallel suite benchmarks) interleave whole batches; a torn
-  line from a crash is skipped by the corruption-tolerant loader.
-* **single-writer locking** — every file mutation (flush append,
-  compaction, clear) is serialized through an instance lock *and* an
-  advisory ``cache.jsonl.lock`` flock, so the daemon's concurrent job
-  threads — or two processes sharing one cache directory — cannot
-  interleave partial journal appends or race a compaction rename.
-* **journal/merge semantics** — new entries accumulate in a dirty journal;
-  the engine's process-pool workers hold read-only copies (pickling a
-  cache drops its journal and write permission), journal through the
-  existing :class:`~repro.engine.store.StoreDelta` path, and the parent
-  commits the merged deltas here.
+* **batch append** — a flush writes all journaled entries in one buffered
+  write to an append-mode handle; a torn line from a crash is skipped (and
+  counted) by the corruption-tolerant loader, and the next append ends it
+  first, so it costs only its own record.
+* **single-writer locking** — every mutation (append, compaction,
+  removal) holds an instance lock *and* an advisory ``<file>.lock``
+  flock, so the daemon's job threads — or two processes sharing one
+  directory — cannot interleave partial appends or race a rename.
 * **graceful degradation** — a corrupted, truncated, or version- or
-  fingerprint-mismatched file is logged and treated as empty (the run goes
-  cold instead of failing); the next :meth:`flush` rewrites it whole.
-* **compaction** — duplicated keys from concurrent appends are deduplicated
-  on load; :meth:`compact` rewrites the file crash-safely: the temp file is
-  flushed and fsynced *before* the atomic rename (plus a best-effort
-  directory fsync), so a process killed mid-compaction leaves either the
-  complete old journal or the complete new one — never a torn file.
-* **retry with backoff** — transient ``OSError`` during flush/compaction is
-  retried a few times with deterministic exponential backoff before the
-  usual warn-and-continue degradation (see docs/RESILIENCE.md); the chaos
-  harness (``TELS_CHAOS``) injects both write failures (``cache``) and torn
-  trailing lines (``cache-corrupt``) through the same code paths the real
-  faults would take.
+  fingerprint-mismatched file is logged and read as empty (the run goes
+  cold instead of failing).  A file without a valid header line — missing,
+  empty, or rejected — is never appended to: the next write starts it over.
+* **crash-safe compaction** — the temp file is flushed and fsynced *before*
+  the atomic rename (plus a best-effort directory fsync), so a process
+  killed mid-compaction leaves either the complete old file or the
+  complete new one.  Starting a file over takes the same path.
+* **retry with backoff** — a transient ``OSError`` is retried a few times
+  with deterministic exponential backoff before the usual warn-and-continue
+  degradation (see docs/RESILIENCE.md).  The chaos harness (``TELS_CHAOS``)
+  injects write failures (``cache``) and torn trailing lines
+  (``cache-corrupt``) into ``cache.jsonl`` only, through the hooks
+  :class:`PersistentCache` hands its file; the journal is never a chaos site.
+
+New cache entries accumulate in a dirty journal; the engine's process-pool
+workers hold read-only copies (pickling a cache drops its journal and write
+permission), journal through :class:`~repro.engine.store.StoreDelta`, and
+the parent commits the merged deltas here.
 """
 
 from __future__ import annotations
@@ -46,22 +46,25 @@ import json
 import logging
 import os
 import threading
-from dataclasses import dataclass
+from collections.abc import Callable
 from pathlib import Path
+from typing import Any, TypeVar
 
 from repro.cache.canonical import CANONICAL_FINGERPRINT
 from repro.faults.injector import get_injector
 from repro.faults.retry import RetryPolicy, retry_call
 
-try:  # advisory inter-process locking (POSIX only; see _advisory_lock)
+try:  # advisory inter-process locking (POSIX only; see JsonLinesFile._flock)
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
 logger = logging.getLogger("repro.cache")
 
-#: I/O retry schedule for flush/compaction (short: disk hiccups, not locks).
+#: I/O retry schedule for appends/compaction (short: disk hiccups, not locks).
 _IO_RETRY = RetryPolicy(max_attempts=3, base_backoff_s=0.01, max_backoff_s=0.1)
+
+T = TypeVar("T")
 
 
 def _fsync_dir(directory: Path) -> None:
@@ -84,14 +87,212 @@ FORMAT_VERSION = 1
 ABSENT = object()
 
 
-@dataclass
-class CacheFileStats:
-    """What loading (and using) a cache file observed."""
+class JsonLinesFile:
+    """One crash-safe JSON-lines file: a header line, then one record a line.
 
-    entries: int = 0
-    corrupt_lines: int = 0
-    rejected_header: bool = False
-    path: str = ""
+    The header line is ``json.dumps(header)``; each record is a compact,
+    key-sorted JSON object.  Owners encode their state as records and
+    decode it through :meth:`read`; everything that touches the file —
+    opening, parsing, locking, renaming, fsyncing — happens here.
+    ``write_fault(op, attempt)`` and ``torn_line(op)`` are chaos hooks
+    (``op`` is ``"flush"`` for an append, ``"compact"`` for a rewrite).
+    """
+
+    def __init__(
+        self,
+        path: str | Path,
+        header: dict,
+        write_fault: Callable[[str, int], None] | None = None,
+        torn_line: Callable[[str], str] | None = None,
+    ):
+        self.path = Path(path)
+        self.header = header
+        self.corrupt_lines = 0
+        self.rejected_header = False
+        self._write_fault = write_fault
+        self._torn_line = torn_line
+        # Set when a read found no usable header: the next write starts
+        # the file over instead of appending behind it.
+        self._needs_rewrite = False
+        self._lock = threading.Lock()
+
+    @contextlib.contextmanager
+    def _flock(self):
+        """Exclusive inter-process flock on ``<file>.lock`` (best effort).
+
+        The instance lock serializes this process's threads; the flock
+        extends the single-writer guarantee across processes sharing one
+        directory.  Platforms without :mod:`fcntl` (and unopenable lock
+        files) degrade to the instance lock alone.
+        """
+        if fcntl is None:
+            yield
+            return
+        lock_path = self.path.with_name(self.path.name + ".lock")
+        try:
+            handle = open(lock_path, "a")
+        except OSError:
+            yield
+            return
+        try:
+            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+            yield
+        finally:
+            with contextlib.suppress(OSError):
+                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+            handle.close()
+
+    # -- reading -------------------------------------------------------
+    def read(self, parse: Callable[[Any], T]) -> list[T]:
+        """``parse`` applied to every record line, in file order.
+
+        A missing file reads as empty.  An unreadable file, or one whose
+        first line is not this header, reads as empty too, and the next
+        write starts it over.  A line that is not JSON, or whose record
+        ``parse`` refuses with ``KeyError``, ``TypeError`` or
+        ``ValueError``, is counted in :attr:`corrupt_lines` and skipped.
+        """
+        self.corrupt_lines = 0
+        self.rejected_header = False
+        try:
+            lines = self.path.read_text().splitlines()
+        except FileNotFoundError:
+            return []
+        except OSError as exc:
+            logger.warning("%s unreadable (%s); starting empty", self.path, exc)
+            self._needs_rewrite = True
+            return []
+        if not lines:
+            return []
+        try:
+            found = json.loads(lines[0])
+            ok = all(found.get(k) == v for k, v in self.header.items())
+        except (ValueError, AttributeError):
+            ok = False
+        if not ok:
+            logger.warning(
+                "%s has a mismatched or corrupt header; starting empty",
+                self.path,
+            )
+            self.rejected_header = True
+            self._needs_rewrite = True
+            return []
+        records = []
+        for line in lines[1:]:
+            if not line.strip():
+                continue
+            try:
+                records.append(parse(json.loads(line)))
+            except (KeyError, TypeError, ValueError):
+                self.corrupt_lines += 1
+        if self.corrupt_lines:
+            logger.warning(
+                "%s: skipped %d corrupt line(s)", self.path, self.corrupt_lines
+            )
+        return records
+
+    # -- writing -------------------------------------------------------
+    @staticmethod
+    def _encode(records: list[dict]) -> str:
+        return "".join(
+            json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n"
+            for record in records
+        )
+
+    def extend(
+        self,
+        records: list[dict],
+        snapshot: Callable[[], list[dict]] | None = None,
+    ) -> int:
+        """Append ``records`` in one batch; returns the records written.
+
+        A file without a valid header line (missing, empty, or refused by
+        the last :meth:`read`) is started over instead, through
+        :meth:`compact`, as the header plus ``snapshot()`` (default:
+        ``records``).  An empty batch writes nothing unless the last read
+        refused the file.  A torn last line (a crash mid-append) is ended
+        first, so the batch does not join it.  A failed write is logged and
+        returns 0.
+        """
+        with self._lock:
+            if not records and not self._needs_rewrite:
+                return 0
+            with self._flock():
+                if self._starts_over():
+                    records = records if snapshot is None else snapshot()
+                    return len(records) if self._replace(records) else 0
+                payload = self._encode(records)
+                if self._torn_line is not None:
+                    payload += self._torn_line("flush")
+
+                def append() -> None:
+                    with open(self.path, "a+b") as handle:
+                        handle.seek(-1, os.SEEK_END)
+                        torn = handle.read(1) != b"\n"
+                        handle.write((("\n" if torn else "") + payload).encode())
+
+                ok = self._retrying("flush", append, str(self.path))
+                return len(records) if ok else 0
+
+    def _starts_over(self) -> bool:
+        try:
+            return self._needs_rewrite or self.path.stat().st_size == 0
+        except OSError:
+            return True
+
+    def compact(self, records: list[dict]) -> bool:
+        """Crash-safely rewrite the file as the header plus ``records``.
+
+        Durable-then-atomic: the temp file is fsynced before ``os.replace``
+        swaps it in, and the directory entry is fsynced afterwards (best
+        effort), so a kill at any instant leaves a complete file.  Returns
+        True when the rewrite reached disk; a failure is logged.
+        """
+        with self._lock, self._flock():
+            return self._replace(records)
+
+    def _replace(self, records: list[dict]) -> bool:
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        payload = json.dumps(self.header) + "\n" + self._encode(records)
+
+        def rewrite() -> None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with open(tmp, "w") as handle:
+                handle.write(payload)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, self.path)
+            _fsync_dir(self.path.parent)
+
+        if not self._retrying("compact", rewrite, str(tmp)):
+            return False
+        self._needs_rewrite = False
+        return True
+
+    def _retrying(self, op: str, write: Callable[[], None], key: str) -> bool:
+        """Run ``write`` under :data:`_IO_RETRY`; False (logged) if it fails."""
+
+        def attempt(number: int) -> None:
+            if self._write_fault is not None:
+                self._write_fault(op, number)
+            write()
+
+        try:
+            retry_call(attempt, _IO_RETRY, retryable=(OSError,), key=key)
+        except OSError as exc:
+            logger.warning("%s %s failed (%s)", self.path, op, exc)
+            return False
+        return True
+
+    def remove(self) -> None:
+        """Delete the file (best effort; a missing file is fine)."""
+        with self._lock:
+            self._needs_rewrite = False
+            try:
+                with self._flock():
+                    self.path.unlink(missing_ok=True)
+            except OSError as exc:
+                logger.warning("%s removal failed (%s)", self.path, exc)
 
 
 def signature_string(cover_key: tuple) -> str:
@@ -144,8 +345,20 @@ def entry_key(
     return f"{base}|{model}"
 
 
+def _entry(record: dict) -> tuple[str, list[int] | None]:
+    """One cache line's ``(key, values)``; raises on a malformed record."""
+    key, values = record["k"], record["v"]
+    if not isinstance(key, str):
+        raise TypeError("entry key must be a string")
+    return key, None if values is None else [int(v) for v in values]
+
+
 class PersistentCache:
-    """One on-disk vector cache, loaded eagerly, journaled incrementally."""
+    """One on-disk vector cache, loaded eagerly, journaled incrementally.
+
+    ``file_stats`` is its :class:`JsonLinesFile`, whose ``corrupt_lines``
+    and ``rejected_header`` report what loading saw.
+    """
 
     def __init__(
         self,
@@ -153,101 +366,22 @@ class PersistentCache:
         fingerprint: str = CANONICAL_FINGERPRINT,
         read_only: bool = False,
     ):
-        self.path = Path(path)
+        self._setup(Path(path), fingerprint, read_only)
+        self._entries.update(self.file_stats.read(_entry))
+
+    def _setup(self, path: Path, fingerprint: str, read_only: bool) -> None:
+        self.path = path
         self.fingerprint = fingerprint
         self.read_only = read_only
         self._entries: dict[str, list[int] | None] = {}
         self._dirty: dict[str, list[int] | None] = {}
-        self._needs_rewrite = False
         self._lock = threading.RLock()
-        self.file_stats = CacheFileStats(path=str(self.path))
-        self._load()
-
-    @contextlib.contextmanager
-    def _advisory_lock(self):
-        """Exclusive inter-process flock on ``<cache>.lock`` (best effort).
-
-        The instance lock serializes this process's threads; the flock
-        extends the single-writer guarantee across processes sharing one
-        cache directory.  Platforms without :mod:`fcntl` (and unopenable
-        lock files) degrade to the instance lock alone.
-        """
-        if fcntl is None:
-            yield
-            return
-        lock_path = self.path.with_name(self.path.name + ".lock")
-        try:
-            handle = open(lock_path, "a")
-        except OSError:
-            yield
-            return
-        try:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            yield
-        finally:
-            with contextlib.suppress(OSError):
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-            handle.close()
-
-    # -- loading -------------------------------------------------------
-    def _header(self) -> dict:
-        return {
-            "format": FORMAT_NAME,
-            "version": FORMAT_VERSION,
-            "fingerprint": self.fingerprint,
-        }
-
-    def _load(self) -> None:
-        if not self.path.exists():
-            return
-        try:
-            text = self.path.read_text()
-        except OSError as exc:
-            logger.warning("cache %s unreadable (%s); starting cold", self.path, exc)
-            self._needs_rewrite = True
-            return
-        lines = text.splitlines()
-        if not lines:
-            return
-        try:
-            header = json.loads(lines[0])
-            ok = (
-                header.get("format") == FORMAT_NAME
-                and header.get("version") == FORMAT_VERSION
-                and header.get("fingerprint") == self.fingerprint
-            )
-        except (json.JSONDecodeError, AttributeError):
-            ok = False
-        if not ok:
-            logger.warning(
-                "cache %s has a mismatched or corrupt header; starting cold",
-                self.path,
-            )
-            self.file_stats.rejected_header = True
-            self._needs_rewrite = True
-            return
-        for line in lines[1:]:
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                key = record["k"]
-                values = record["v"]
-                if values is not None:
-                    values = [int(v) for v in values]
-                if not isinstance(key, str):
-                    raise TypeError("entry key must be a string")
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                self.file_stats.corrupt_lines += 1
-                continue
-            self._entries[key] = values
-        self.file_stats.entries = len(self._entries)
-        if self.file_stats.corrupt_lines:
-            logger.warning(
-                "cache %s: skipped %d corrupt line(s)",
-                self.path,
-                self.file_stats.corrupt_lines,
-            )
+        header = dict(
+            format=FORMAT_NAME, version=FORMAT_VERSION, fingerprint=fingerprint
+        )
+        self.file_stats = JsonLinesFile(
+            path, header, self._chaos_write_fault, self._chaos_torn_line
+        )
 
     # -- lookups -------------------------------------------------------
     def get(self, key: str):
@@ -277,95 +411,39 @@ class PersistentCache:
         return sum(1 for v in self._entries.values() if v is not None)
 
     # -- persistence ---------------------------------------------------
-    def _encode(self, key: str, values: list[int] | None) -> str:
-        return json.dumps({"k": key, "v": values}, separators=(",", ":"))
+    def _snapshot(self) -> list[dict]:
+        return [{"k": k, "v": v} for k, v in sorted(self._entries.items())]
 
     def flush(self) -> int:
         """Append journaled entries to disk; returns lines written.
 
-        Thread- and process-safe: the instance lock serializes journal
-        swaps among this process's threads, and the advisory flock keeps
-        a concurrent writer in another process from interleaving bytes
-        inside our batch.
+        A file that starts over is rewritten with every entry, all counted.
+        On a failed write the batch stays journaled for a later flush.
         """
         if self.read_only:
             return 0
         with self._lock:
-            if not self._dirty and not self._needs_rewrite:
-                return 0
-            if self._needs_rewrite or not self.path.exists():
-                return len(self._entries) if self._compact_locked() else 0
             dirty, self._dirty = self._dirty, {}
-            lines = [self._encode(k, v) for k, v in dirty.items()]
-            payload = "".join(line + "\n" for line in lines)
-            # A torn trailing line (chaos: what a crash mid-append leaves
-            # behind) exercises the loader's corruption tolerance.
-            payload += self._chaos_torn_line("flush")
-
-            def _append(attempt: int) -> None:
-                self._chaos_write_fault("flush", attempt)
-                with open(self.path, "a") as handle:
-                    handle.write(payload)
-
-            try:
-                with self._advisory_lock():
-                    retry_call(
-                        _append,
-                        _IO_RETRY,
-                        retryable=(OSError,),
-                        key=str(self.path),
-                    )
-            except OSError as exc:
-                logger.warning("cache %s flush failed (%s)", self.path, exc)
-                # Keep the batch journaled for a later flush; entries are
-                # content-addressed, so merge order is irrelevant.
-                dirty.update(self._dirty)
+            written = self.file_stats.extend(
+                [{"k": k, "v": v} for k, v in dirty.items()], self._snapshot
+            )
+            if not written:
                 self._dirty = dirty
-                return 0
-            return len(lines)
+            return written
 
     def compact(self) -> bool:
         """Crash-safely rewrite the file: header + deduplicated entries.
 
-        The rewrite is durable-then-atomic: the temp file is flushed and
-        fsynced before ``os.replace`` swaps it in, and the directory entry
-        is fsynced afterwards (best effort).  A kill at any instant leaves
-        a complete journal — the old one up to the rename, the new one
-        after it.  Returns True when the rewrite reached disk; on failure
-        the journal is retained for a later flush.
+        True when the rewrite reached disk; on failure the journal is
+        retained for a later flush.
         """
         if self.read_only:
             return False
         with self._lock:
-            return self._compact_locked()
-
-    def _compact_locked(self) -> bool:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        lines = [json.dumps(self._header())]
-        lines.extend(self._encode(k, v) for k, v in sorted(self._entries.items()))
-        payload = "".join(line + "\n" for line in lines)
-
-        def _rewrite(attempt: int) -> None:
-            self._chaos_write_fault("compact", attempt)
-            with open(tmp, "w") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.path)
-            _fsync_dir(self.path.parent)
-
-        try:
-            with self._advisory_lock():
-                retry_call(
-                    _rewrite, _IO_RETRY, retryable=(OSError,), key=str(tmp)
-                )
-        except OSError as exc:
-            logger.warning("cache %s compaction failed (%s)", self.path, exc)
-            return False
-        self._needs_rewrite = False
-        self._dirty.clear()
-        return True
+            if not self.file_stats.compact(self._snapshot()):
+                return False
+            self._dirty.clear()
+            return True
 
     # -- chaos hooks ----------------------------------------------------
     def _chaos_write_fault(self, op: str, attempt: int) -> None:
@@ -382,6 +460,7 @@ class PersistentCache:
             raise OSError(f"chaos: injected cache {op} failure")
 
     def _chaos_torn_line(self, op: str) -> str:
+        """A torn trailing line (what a crash mid-append leaves behind)."""
         injector = get_injector()
         if injector is not None and injector.decide(
             "cache-corrupt", f"{self.path.name}|{op}|{len(self._entries)}"
@@ -394,15 +473,8 @@ class PersistentCache:
         with self._lock:
             self._entries.clear()
             self._dirty.clear()
-            self._needs_rewrite = False
             if not self.read_only:
-                try:
-                    with self._advisory_lock():
-                        self.path.unlink(missing_ok=True)
-                except OSError as exc:
-                    logger.warning(
-                        "cache %s clear failed (%s)", self.path, exc
-                    )
+                self.file_stats.remove()
 
     # -- worker shipping -----------------------------------------------
     def __getstate__(self) -> dict:
@@ -415,16 +487,8 @@ class PersistentCache:
             }
 
     def __setstate__(self, state: dict) -> None:
-        self.path = Path(state["path"])
-        self.fingerprint = state["fingerprint"]
-        self.read_only = True
+        self._setup(Path(state["path"]), state["fingerprint"], read_only=True)
         self._entries = state["entries"]
-        self._dirty = {}
-        self._needs_rewrite = False
-        self._lock = threading.RLock()
-        self.file_stats = CacheFileStats(
-            entries=len(self._entries), path=str(self.path)
-        )
 
     def __repr__(self) -> str:
         mode = "ro" if self.read_only else "rw"

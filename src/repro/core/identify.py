@@ -470,9 +470,6 @@ class ThresholdChecker:
         )
         return problem
 
-    def cache_size(self) -> int:
-        return self._ensure_store().num_vectors
-
 
 def is_threshold_function(
     function: BooleanFunction | Cover,

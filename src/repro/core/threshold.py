@@ -11,7 +11,7 @@ perturbation (Section VI-C).
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
@@ -62,7 +62,7 @@ class WeightThresholdVector:
         ``T``; the OFF margin the tightest slack of a false vector's sum
         below ``T``.  None when the gate has no true (resp. false) vectors.
         """
-        return _margins(self.weights, (self.threshold,))
+        return _margins(bitset.weighted_sums(self.weights), (self.threshold,))
 
     def table(self, weights: Sequence[float] | None = None) -> BitVec:
         """Packed truth table over all ``2**l`` input points.
@@ -72,6 +72,10 @@ class WeightThresholdVector:
         """
         sums = bitset.weighted_sums(self.weights if weights is None else weights)
         return bitset.fires_table(sums, self.threshold)
+
+    def table_and_margins(self) -> tuple[BitVec, int | None, int | None]:
+        """:meth:`table` and :meth:`margins` from one pass over the sums."""
+        return _table_and_margins(self.weights, (self.threshold,))
 
     def __str__(self) -> str:
         ws = ", ".join(str(w) for w in self.weights)
@@ -140,7 +144,7 @@ class MultiThresholdVector:
         OFF margin (``T_above - s``).  For ``k = 1`` this reduces exactly to
         :meth:`WeightThresholdVector.margins`.
         """
-        return _margins(self.weights, self.thresholds)
+        return _margins(bitset.weighted_sums(self.weights), self.thresholds)
 
     def table(self, weights: Sequence[float] | None = None) -> BitVec:
         """Packed truth table: XOR of the per-threshold fire tables.
@@ -149,10 +153,11 @@ class MultiThresholdVector:
         :meth:`WeightThresholdVector.table`.
         """
         sums = bitset.weighted_sums(self.weights if weights is None else weights)
-        table = bitset.fires_table(sums, self.thresholds[0])
-        for t in self.thresholds[1:]:
-            table = table ^ bitset.fires_table(sums, t)
-        return table
+        return _table(sums, self.thresholds)
+
+    def table_and_margins(self) -> tuple[BitVec, int | None, int | None]:
+        """:meth:`table` and :meth:`margins` from one pass over the sums."""
+        return _table_and_margins(self.weights, self.thresholds)
 
     def __str__(self) -> str:
         ws = ", ".join(str(w) for w in self.weights)
@@ -164,25 +169,44 @@ class MultiThresholdVector:
 GateVector = WeightThresholdVector | MultiThresholdVector
 
 
-def _margins(
-    weights: Sequence[int], thresholds: Sequence[int]
-) -> tuple[int | None, int | None]:
-    """(ON margin, OFF margin) of all ``2**l`` input points against
-    strictly increasing thresholds.
+def _table(sums: Sequence[int | float], thresholds: Sequence[int]) -> BitVec:
+    """XOR of the per-threshold fire tables (one table for an LTG)."""
+    table = bitset.fires_table(sums, thresholds[0])
+    for t in thresholds[1:]:
+        table = table ^ bitset.fires_table(sums, t)
+    return table
 
-    ``bisect_right`` counts the thresholds at or below a point's sum
-    ``s``: the nearest one below is ``thresholds[i - 1]`` (when ``i > 0``),
-    the nearest one above ``thresholds[i]`` (when ``i < k``).
+
+def _margins(
+    sums: Sequence[int], thresholds: Sequence[int]
+) -> tuple[int | None, int | None]:
+    """(ON margin, OFF margin) of the points with these weighted ``sums``
+    against strictly increasing thresholds.
+
+    A point's nearest threshold below is the last ``T_j <= s``, its
+    nearest above the first ``T_j > s``.  So over the sorted sums, the ON
+    margin at ``T_j`` is the least sum at or above it, if that sum is below
+    ``T_{j+1}``, and the OFF margin at ``T_j`` the greatest sum below it, if
+    that sum is at or above ``T_{j-1}``.
     """
-    below: list[int] = []
-    above: list[int] = []
-    for s in bitset.weighted_sums(weights):
-        i = bisect_right(thresholds, s)
-        if i:
-            below.append(s - thresholds[i - 1])
-        if i < len(thresholds):
-            above.append(thresholds[i] - s)
-    return min(below, default=None), min(above, default=None)
+    ordered = sorted(sums)
+    last = len(thresholds) - 1
+    on: list[int] = []
+    off: list[int] = []
+    for j, t in enumerate(thresholds):
+        i = bisect_left(ordered, t)
+        if i < len(ordered) and (j == last or ordered[i] < thresholds[j + 1]):
+            on.append(ordered[i] - t)
+        if i and (j == 0 or ordered[i - 1] >= thresholds[j - 1]):
+            off.append(t - ordered[i - 1])
+    return min(on, default=None), min(off, default=None)
+
+
+def _table_and_margins(
+    weights: Sequence[int], thresholds: Sequence[int]
+) -> tuple[BitVec, int | None, int | None]:
+    sums = bitset.weighted_sums(weights)
+    return (_table(sums, thresholds), *_margins(sums, thresholds))
 
 
 @dataclass(frozen=True)

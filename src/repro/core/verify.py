@@ -16,7 +16,6 @@ from repro.core.threshold import ThresholdNetwork
 from repro.errors import NetworkError
 from repro.network.network import BooleanNetwork
 from repro.network.simulate import (
-    EXHAUSTIVE_LIMIT,
     check_pi_vectors,
     simulate_threshold_vectors,
     simulate_vectors,
@@ -49,18 +48,16 @@ def verify_threshold_network(
     synthesized: ThresholdNetwork,
     vectors: int = 2048,
     seed: int = 0,
-    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
 ) -> bool:
     """Check that ``synthesized`` matches ``source`` on all primary outputs.
 
-    Exhaustive when the network has at most ``exhaustive_limit`` inputs,
-    randomized otherwise.
+    Exhaustive when the network has at most
+    :data:`~repro.network.simulate.EXHAUSTIVE_LIMIT` inputs, randomized
+    otherwise.
     """
     if interface_differences(source, synthesized):
         return False
-    vecs, width = check_pi_vectors(
-        source, vectors, random.Random(seed), exhaustive_limit
-    )
+    vecs, width = check_pi_vectors(source, vectors, random.Random(seed))
     golden = simulate_vectors(source, vecs, width)
     got = simulate_threshold_vectors(synthesized, vecs, width)
     return all(got[name] == golden[name] for name in source.outputs)

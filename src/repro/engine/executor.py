@@ -267,14 +267,19 @@ class ProcessExecutor:
             self._release()
 
     def _release(self) -> None:
-        """Hand held cones to the pool: all of them, or, while a suspect is
-        unresolved, one at a time, held suspects before the rest.
+        """Hand held cones to the pool while fewer than ``jobs`` are in
+        flight, or, while a suspect is unresolved, one at a time, held
+        suspects before the rest.
 
-        With suspects this runs only from wait(), after the caller has
-        requeued every failure: a suspect neither held nor in flight then
-        ended without a requeue, which resolves it.
+        A pool break loses every cone handed to the pool, started or not,
+        so the cap bounds what one break costs.  With suspects this runs
+        only from wait(), after the caller has requeued every failure: a
+        suspect neither held nor in flight then ended without a requeue,
+        which resolves it.
         """
-        while self._held and not (self._suspects and self._inflight):
+        while self._held and len(self._inflight) < (
+            1 if self._suspects else self._jobs
+        ):
             held = [task.task_id for task, _attempt in self._held]
             self._suspects.intersection_update(held)
             index = next(

@@ -13,9 +13,6 @@ ILP chain:
   drive the shared LTG machinery (Chow fast path + Fig. 6 ILP) through
   :meth:`~repro.core.identify.ThresholdChecker.solve_ltg` and layer their
   own search or tolerance algebra on top;
-* **margins** — :meth:`GateModel.gate_margins` recomputes a gate's defect
-  margins under the model's firing rule (lint's TLM101 asks the model
-  instead of assuming ``sum(w·x) >= T``);
 * **NP-transform algebra** — :meth:`encode_canonical` /
   :meth:`decode_canonical` map vectors to and from NP-canonical space, and
   :meth:`verify_vector` re-checks a transformed vector against a cover
@@ -35,7 +32,6 @@ import abc
 
 from repro.core.threshold import (
     GateVector,
-    ThresholdGate,
     WeightThresholdVector,
     make_or_vector,
 )
@@ -106,13 +102,6 @@ class GateModel(abc.ABC):
         vectors; a refusal falls back to the plain OR root.
         """
         return True
-
-    # -- margins -------------------------------------------------------
-    def gate_margins(
-        self, gate: ThresholdGate
-    ) -> tuple[int | None, int | None]:
-        """(ON margin, OFF margin) of a gate under this model's firing rule."""
-        return gate.margins()
 
     # -- NP-transform algebra (persistent cache) -----------------------
     def encode_canonical(self, vector: GateVector, transform) -> list[int] | None:

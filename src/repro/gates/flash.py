@@ -116,7 +116,14 @@ class FlashModel(GateModel):
     def verify_vector(self, cover_key, vector, delta_on, delta_off) -> bool:
         # Persisted entries must satisfy the device contract too, not just
         # the base Eq. 1 — margins and |w| are NP-invariants, so anything
-        # this model solved passes; anything else must not.
-        if not super().verify_vector(cover_key, vector, delta_on, delta_off):
+        # this model solved passes; anything else must not.  The drift
+        # margin of admits_vector folds into the tolerances, so the one
+        # Eq. (1) check covers both.
+        if not isinstance(vector, WeightThresholdVector) or any(
+            abs(w) > self.levels for w in vector.weights
+        ):
             return False
-        return self.admits_vector(vector)
+        req = self.required_margin(vector.weights)
+        return super().verify_vector(
+            cover_key, vector, max(delta_on, req), max(delta_off, req)
+        )

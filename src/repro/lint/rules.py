@@ -373,21 +373,18 @@ def check_margins(ctx: LintContext) -> Iterator[Diagnostic]:
 
     The Eq. (1) contract: every true input vector's weighted sum reaches
     ``T + delta_on`` and every false one stays at or below
-    ``T - delta_off``.  The recompute is delegated to the gate model
-    (``model.gate_margins``) rather than assuming the single-threshold
+    ``T - delta_off``.  The recompute goes through the gate's vector
+    (``gate.margins()``) rather than assuming the single-threshold
     ``sum(w·x) >= T`` form — multi-threshold gates measure against the
     *nearest enclosing* thresholds.  Enumeration is ``2**fanin`` points,
     so gates wider than ``max_enumeration_fanin`` are skipped (they cannot
     come out of the synthesizer, whose ψ is small).
     """
-    from repro.gates import get_model
-
-    model = get_model(ctx.options.gate_model)
     spec = RULE_REGISTRY["TLM101"]
     for gate in ctx.gates:
         if gate.fanin > ctx.options.max_enumeration_fanin:
             continue
-        on_margin, off_margin = model.gate_margins(gate)
+        on_margin, off_margin = gate.margins()
         if on_margin is not None and on_margin < gate.delta_on:
             yield ctx.diag(
                 spec,
@@ -662,7 +659,7 @@ def check_flash_grid(ctx: LintContext) -> Iterator[Diagnostic]:
         required = model.required_margin(gate.weights)
         if required == 0:
             continue
-        on_margin, off_margin = model.gate_margins(gate)
+        on_margin, off_margin = gate.margins()
         for side, margin in (("ON", on_margin), ("OFF", off_margin)):
             if margin is not None and margin < required:
                 yield ctx.diag(

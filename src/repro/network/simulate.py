@@ -74,15 +74,14 @@ def check_pi_vectors(
     network: BooleanNetwork | ThresholdNetwork,
     vectors: int,
     rng: random.Random,
-    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
 ) -> tuple[dict[str, BitVec], int]:
     """The PI vectors of one simulation check, and their width.
 
     Every input combination when the network has at most
-    ``exhaustive_limit`` inputs (the check is then exact); otherwise
+    :data:`EXHAUSTIVE_LIMIT` inputs (the check is then exact); otherwise
     ``vectors`` random vectors drawn from ``rng``.
     """
-    if len(network.inputs) <= exhaustive_limit:
+    if len(network.inputs) <= EXHAUSTIVE_LIMIT:
         return exhaustive_pi_vectors(network)
     return random_pi_vectors(network, vectors, rng), vectors
 
@@ -149,21 +148,18 @@ def equivalent_threshold_networks(
     b: ThresholdNetwork,
     vectors: int = 4096,
     seed: int = 0,
-    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
 ) -> bool:
     """Check that two threshold networks agree on all primary outputs.
 
     Exact (exhaustive) when the input count is at most
-    ``exhaustive_limit``; otherwise a strong randomized check over
+    :data:`EXHAUSTIVE_LIMIT`; otherwise a strong randomized check over
     ``vectors`` random vectors.
     """
     if set(a.inputs) != set(b.inputs):
         return False
     if list(a.outputs) != list(b.outputs):
         return False
-    vecs, width = check_pi_vectors(
-        a, vectors, random.Random(seed), exhaustive_limit
-    )
+    vecs, width = check_pi_vectors(a, vectors, random.Random(seed))
     va = simulate_threshold_vectors(a, vecs, width)
     vb = simulate_threshold_vectors(b, vecs, width)
     return all(va[o] == vb[o] for o in a.outputs)
@@ -177,21 +173,18 @@ def equivalent_networks(
     b: BooleanNetwork,
     vectors: int = 4096,
     seed: int = 0,
-    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
 ) -> bool:
     """Check that two networks agree on all primary outputs.
 
     Uses exhaustive simulation when the input count is at most
-    ``exhaustive_limit`` (then the answer is exact), otherwise ``vectors``
-    random vectors (a strong randomized check).
+    :data:`EXHAUSTIVE_LIMIT` (then the answer is exact), otherwise
+    ``vectors`` random vectors (a strong randomized check).
     """
     if set(a.inputs) != set(b.inputs):
         return False
     if list(a.outputs) != list(b.outputs):
         return False
-    vecs, width = check_pi_vectors(
-        a, vectors, random.Random(seed), exhaustive_limit
-    )
+    vecs, width = check_pi_vectors(a, vectors, random.Random(seed))
     va = simulate_vectors(a, vecs, width)
     vb = simulate_vectors(b, vecs, width)
     return all(va[o] == vb[o] for o in a.outputs)

@@ -3,7 +3,8 @@ workers all flush the same journal).
 
 The historical single-writer assumption is gone: ``put``/``flush``/
 ``compact`` are thread-safe, and the journal file itself is guarded by an
-advisory ``flock`` so two appends never interleave half-lines.
+advisory ``flock`` so two appends never interleave half-lines.  The
+``tels serve`` jobs journal shares that file layer, lock included.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import pickle
 import threading
 
 from repro.cache.store import cache_file, open_cache
+from repro.serve.journal import JobJournal, journal_file
 
 
 class TestConcurrentWriters:
@@ -126,7 +128,7 @@ class TestConcurrentWriters:
         cache = open_cache(tmp_path)
         cache.put("k", [1])
         cache.flush()
-        lock_path = cache_file(tmp_path).with_name(
-            cache_file(tmp_path).name + ".lock"
-        )
-        assert lock_path.exists()
+        journal = JobJournal(tmp_path)
+        journal.append({"id": "j1", "state": "queued"})
+        for path in (cache_file(tmp_path), journal_file(tmp_path)):
+            assert path.with_name(path.name + ".lock").exists(), path.name

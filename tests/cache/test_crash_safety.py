@@ -8,6 +8,7 @@ import sys
 
 from repro.cache.store import ABSENT, open_cache
 from repro.faults.injector import CHAOS_ENV
+from repro.serve.journal import JobJournal
 
 #: Child process: populate a cache, then die at the instant compaction
 #: would atomically swap the rewritten file in.  Everything before the
@@ -24,6 +25,20 @@ cache.flush()
 os.replace = lambda src, dst: os._exit(9)
 cache.put("late", [99])
 cache.compact()
+os._exit(3)  # not reached: compact must hit the patched replace
+"""
+
+#: The same kill inside the jobs journal's compaction.
+_KILL_JOURNAL_AT_REPLACE = """
+import os, sys
+from repro.serve.journal import JobJournal
+
+journal = JobJournal(sys.argv[1])
+for i in range(8):
+    journal.append({"id": f"j{i}", "state": "queued"})
+
+os.replace = lambda src, dst: os._exit(9)
+journal.compact([{"id": "late", "state": "done"}])
 os._exit(3)  # not reached: compact must hit the patched replace
 """
 
@@ -47,6 +62,18 @@ class TestKillDuringCompact:
             assert cache.get(f"key{i}") == [i, i + 1]
         # The rename never happened, so the un-flushed entry is absent.
         assert cache.get("late") is ABSENT
+
+        proc = subprocess.run(
+            [sys.executable, "-c", _KILL_JOURNAL_AT_REPLACE, str(tmp_path)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 9, proc.stderr
+        journal = JobJournal(tmp_path)
+        folded = journal.load()
+        assert journal.corrupt_lines == 0
+        assert sorted(folded) == [f"j{i}" for i in range(8)]
 
     def test_compact_fsyncs_the_payload_before_the_rename(
         self, tmp_path, monkeypatch

@@ -5,6 +5,7 @@ import pickle
 
 from repro.boolean.cover import Cover
 from repro.boolean.cube import Cube
+from repro.cache.canonical import CANONICAL_FINGERPRINT
 from repro.cache.store import (
     ABSENT,
     FORMAT_NAME,
@@ -17,6 +18,7 @@ from repro.cache.store import (
 )
 from repro.core.threshold import WeightThresholdVector
 from repro.engine.store import ResultStore
+from repro.serve.journal import JobJournal
 
 
 def and_key(delta_on: int = 0, delta_off: int = 1) -> tuple:
@@ -80,6 +82,12 @@ class TestPersistence:
         assert again.get("good") == [5]
         assert len(again) == 1
         assert again.file_stats.corrupt_lines == 3
+        # An entry flushed after the torn line does not join it.
+        again.put("after", [6])
+        assert again.flush() == 1
+        last = open_cache(tmp_path)
+        assert last.get("after") == [6]
+        assert last.file_stats.corrupt_lines == 3
 
     def test_mismatched_header_goes_cold_then_rewrites(self, tmp_path):
         stale = open_cache(tmp_path, fingerprint="old-fingerprint")
@@ -103,6 +111,49 @@ class TestPersistence:
         cache = open_cache(tmp_path)
         assert len(cache) == 0
         assert cache.file_stats.rejected_header
+
+    def test_empty_file_keeps_the_entries_flushed_into_it(self, tmp_path):
+        # What a kill between creating the file and writing its header
+        # leaves behind: the flush must start the file over, not append
+        # behind a missing header.
+        cache_file(tmp_path).write_text("")
+        cache = open_cache(tmp_path)
+        cache.put("k", [1, 2])
+        assert cache.flush() == 1
+        again = open_cache(tmp_path)
+        assert not again.file_stats.rejected_header
+        assert again.get("k") == [1, 2]
+
+    def test_both_files_keep_their_bytes(self, tmp_path):
+        """The cache and the jobs journal share one file class; its bytes
+        are those each file had when it had a writer of its own."""
+        journal = JobJournal(tmp_path)
+        journal.append({"state": "queued", "id": "j1", "request": {"psi": 3}})
+        journal.append({"id": "j1", "state": "done"})
+        jobs_header = '{"format": "tels-jobs", "version": 1}\n'
+        assert journal.path.read_text() == (
+            jobs_header
+            + '{"id":"j1","request":{"psi":3},"state":"queued"}\n'
+            + '{"id":"j1","state":"done"}\n'
+        )
+        assert journal.compact([{"state": "done", "id": "j1"}])
+        assert journal.path.read_text() == (
+            jobs_header + '{"id":"j1","state":"done"}\n'
+        )
+
+        cache = open_cache(tmp_path)
+        cache.put("b", [1, -2])
+        cache.put("a", None)
+        assert cache.flush() == 2  # a fresh file: sorted, like a compaction
+        cache.put("0", [3])
+        assert cache.flush() == 1  # then appended in journal order
+        assert cache_file(tmp_path).read_text() == (
+            '{"format": "tels-cache", "version": 1, "fingerprint": '
+            f'"{CANONICAL_FINGERPRINT}"}}\n'
+            '{"k":"a","v":null}\n'
+            '{"k":"b","v":[1,-2]}\n'
+            '{"k":"0","v":[3]}\n'
+        )
 
     def test_compaction_dedupes_concurrent_appends(self, tmp_path):
         # Two writers appending the same key: the loader keeps one copy and

@@ -7,6 +7,7 @@ import pytest
 from repro.boolean.bitset import BitVec
 from repro.boolean.function import BooleanFunction
 from repro.core.threshold import (
+    MultiThresholdVector,
     ThresholdGate,
     ThresholdNetwork,
     WeightThresholdVector,
@@ -86,6 +87,28 @@ class TestGate:
         g = ThresholdGate("g", ("a", "b"), WeightThresholdVector((2, 2), 2))
         on, off = g.margins()
         assert on == 0 and off == 2
+
+    def test_margins_match_the_per_point_definition(self):
+        """Margins and table from one sums pass, against every point's
+        nearest threshold below and above, for both vector kinds."""
+        rng = random.Random(3)
+        for _ in range(500):
+            n = rng.randint(0, 6)
+            weights = tuple(rng.randint(-6, 6) for _ in range(n))
+            ts = tuple(sorted(rng.sample(range(-12, 13), rng.randint(1, 4))))
+            vector = (
+                WeightThresholdVector(weights, ts[0])
+                if len(ts) == 1
+                else MultiThresholdVector(weights, ts)
+            )
+            below, above = [], []
+            for point in range(1 << n):
+                s = sum(w for i, w in enumerate(weights) if point >> i & 1)
+                below += [s - t for t in ts if t <= s][-1:]
+                above += [t - s for t in ts if t > s][:1]
+            expected = (min(below, default=None), min(above, default=None))
+            assert vector.margins() == expected, vector
+            assert vector.table_and_margins() == (vector.table(), *expected)
 
 
 def or_network():

@@ -3,11 +3,11 @@
 import pytest
 
 from repro.boolean.function import BooleanFunction
-from repro.core.twolevel import TwoLevelOptions, synthesize_two_level
 from repro.core.verify import verify_threshold_network
 from repro.errors import SynthesisError
 from repro.network.network import BooleanNetwork
 from tests.conftest import random_network
+from tests.core.twolevel import TwoLevelOptions, synthesize_two_level
 
 
 def single_output(expression: str) -> BooleanNetwork:

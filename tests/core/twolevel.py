@@ -13,6 +13,9 @@ synthesis.
 ``synthesize_two_level`` raises :class:`~repro.errors.SynthesisError` when
 an output's flattened cover exceeds ``max_cubes`` — deep circuits are out of
 this method's reach by design, which the ablation benchmark demonstrates.
+
+No flow runs it: it lives here, next to ``test_twolevel.py``, as the
+comparator of ``benchmarks/test_ablation_twolevel.py``.
 """
 
 from __future__ import annotations

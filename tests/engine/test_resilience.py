@@ -20,6 +20,7 @@ from repro.benchgen.random_logic import random_logic_network
 from repro.core.identify import ThresholdChecker
 from repro.core.synthesis import SynthesisOptions
 from repro.core.verify import verify_threshold_network
+from repro.engine.executor import ProcessExecutor
 from repro.engine.resilience import (
     Deadline,
     cone_subnetwork,
@@ -304,4 +305,26 @@ class TestBrokenPoolRecovery:
         pooled = run_synthesis(net, SynthesisOptions(), jobs=2)
         assert pooled.trace.pool_rebuilds > 0
         assert pooled.trace.quarantined == []
+        assert to_thblif(pooled.network) == to_thblif(serial.network)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_break_loses_at_most_jobs_cones(self, monkeypatch, seed):
+        """The pool holds at most ``jobs`` cones, so a break loses only
+        those, never cones queued behind them that had not started."""
+        net = prepare_tels(build_extended_benchmark("comp"))
+        monkeypatch.delenv(CHAOS_ENV, raising=False)
+        serial = run_synthesis(net, SynthesisOptions())
+        lost_per_break: list[int] = []
+        blame = ProcessExecutor._blame
+
+        def counting_blame(executor, broken):
+            failures = blame(executor, broken)
+            lost_per_break.append(len(failures))
+            return failures
+
+        monkeypatch.setattr(ProcessExecutor, "_blame", counting_blame)
+        monkeypatch.setenv(CHAOS_ENV, f"worker=0.15:{seed}")
+        pooled = run_synthesis(net, SynthesisOptions(), jobs=2)
+        assert lost_per_break
+        assert max(lost_per_break) <= 2, lost_per_break
         assert to_thblif(pooled.network) == to_thblif(serial.network)

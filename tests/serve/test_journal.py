@@ -32,6 +32,11 @@ class TestJournalFile:
         folded = fresh.load()
         assert folded["j1"]["state"] == "running"
         assert fresh.corrupt_lines == 1
+        # A job accepted after the restart does not join the torn line.
+        fresh.append({"id": "j2", "state": "queued"})
+        again = JobJournal(tmp_path)
+        assert again.load()["j2"] == {"id": "j2", "state": "queued"}
+        assert again.corrupt_lines == 1
 
     def test_mismatched_header_loads_empty(self, tmp_path):
         path = journal_file(tmp_path)
@@ -97,6 +102,26 @@ class TestRecovery:
             assert events[-1]["event"] == "job-done"
         finally:
             reborn.shutdown()
+
+    def test_job_accepted_into_an_empty_journal_survives_a_crash(
+        self, tmp_path
+    ):
+        """An empty ``jobs.jsonl`` (a kill before its first write reached
+        disk) must take a header with the next append: the restart below
+        happens without the clean shutdown that would compact the file."""
+        journal_file(tmp_path).write_text("")
+        manager = JobManager(journal_dir=str(tmp_path))
+        try:
+            job_id = self._submit(manager)
+            self._wait(manager, job_id)
+            reborn = JobManager(journal_dir=str(tmp_path))
+            try:
+                assert not reborn.journal.rejected_header
+                assert reborn.get(job_id).state == "done"
+            finally:
+                reborn.shutdown()
+        finally:
+            manager.shutdown()
 
     def test_interrupted_job_is_reenqueued_and_completes(self, tmp_path):
         """A journal whose job never finished (daemon crash) re-runs it."""
